@@ -91,10 +91,7 @@ def _maybe_dump(args, sections) -> bool:
     return True
 
 
-def _cmd_validate(args) -> int:
-    sections = _sections(args)
-    if _maybe_dump(args, sections):
-        return 0
+def _cmd_validate(args, sections) -> int:
     validate(config.rate_from_config(sections))
     if "asset" in sections:
         validate(config.asset_from_config(sections))
@@ -106,10 +103,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_bond(args) -> int:
-    sections = _sections(args)
-    if _maybe_dump(args, sections):
-        return 0
+def _cmd_bond(args, sections) -> int:
     rate = config.rate_from_config(sections)
     market = config.market_from_config(sections)
     tau = market.tau
@@ -120,10 +114,7 @@ def _cmd_bond(args) -> int:
     return 0
 
 
-def _cmd_price(args) -> int:
-    sections = _sections(args)
-    if _maybe_dump(args, sections):
-        return 0
+def _cmd_price(args, sections) -> int:
     rate = config.rate_from_config(sections)
     asset = config.asset_from_config(sections)
     market = config.market_from_config(sections)
@@ -134,10 +125,7 @@ def _cmd_price(args) -> int:
     return 0
 
 
-def _cmd_basket(args) -> int:
-    sections = _sections(args)
-    if _maybe_dump(args, sections):
-        return 0
+def _cmd_basket(args, sections) -> int:
     rate = config.rate_from_config(sections)
     basket = config.basket_from_config(sections)
     market = config.market_from_config(sections)
@@ -148,10 +136,7 @@ def _cmd_basket(args) -> int:
     return 0
 
 
-def _cmd_w_price(args) -> int:
-    sections = _sections(args)
-    if _maybe_dump(args, sections):
-        return 0
+def _cmd_w_price(args, sections) -> int:
     rate = config.rate_from_config(sections)
     asset = config.asset_from_config(sections)
     market = config.market_from_config(sections)
@@ -162,10 +147,7 @@ def _cmd_w_price(args) -> int:
     return 0
 
 
-def _cmd_charfn(args) -> int:
-    sections = _sections(args)
-    if _maybe_dump(args, sections):
-        return 0
+def _cmd_charfn(args, sections) -> int:
     rate = config.rate_from_config(sections)
     asset = config.asset_from_config(sections)
     market = config.market_from_config(sections)
@@ -189,10 +171,7 @@ def _cmd_charfn(args) -> int:
     return 0
 
 
-def _cmd_converge(args) -> int:
-    sections = _sections(args)
-    if _maybe_dump(args, sections):
-        return 0
+def _cmd_converge(args, sections) -> int:
     rate = config.rate_from_config(sections)
     market = config.market_from_config(sections)
     if args.series == "basket":
@@ -212,10 +191,7 @@ def _cmd_converge(args) -> int:
     return 0
 
 
-def _cmd_mc(args) -> int:
-    sections = _sections(args)
-    if _maybe_dump(args, sections):
-        return 0
+def _cmd_mc(args, sections) -> int:
     rate = config.rate_from_config(sections)
     market = config.market_from_config(sections)
     spec = _sim_spec(args)
@@ -231,10 +207,7 @@ def _cmd_mc(args) -> int:
     return 0
 
 
-def _cmd_paths(args) -> int:
-    sections = _sections(args)
-    if _maybe_dump(args, sections):
-        return 0
+def _cmd_paths(args, sections) -> int:
     rate = config.rate_from_config(sections)
     market = config.market_from_config(sections)
     if "basket" in sections and len(market.spots()) == 2:
@@ -297,7 +270,10 @@ def run(argv: list[str] | None = None) -> int:
     """Parse, dispatch and translate domain errors into exit code 1."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        sections = _sections(args)
+        if _maybe_dump(args, sections):
+            return 0
+        return args.func(args, sections)
     except LevyPricerError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 1

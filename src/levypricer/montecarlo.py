@@ -1,29 +1,40 @@
 """Risk-neutral simulation of the full jump models, the validation oracle.
 
-Rate step (full-truncation Euler, drift and diffusion at r+ = max(r, 0)):
+Rate step (mean reversion integrated exactly over the step, full
+truncation at r+ = max(r, 0) in drift and diffusion):
 
-    r'  = r + k (a - r+) dt - lam C_X dt + sigma_r sqrt(r+ dt) xi
-            + (rate jumps arriving in the step)
+    r'  = r + (k a - lam C_X - k r+) h + sigma_r sqrt(r+ dt) xi
+            + (rate jumps arriving in the step),    h = (1 - e^{-k dt}) / k
 
-Asset step (exact log step given the step's starting rate):
+with h = dt when k = 0.  Rate jump counts per step are Poisson; they are
+realised by drawing each path's total jump count over [0, tau], a
+uniform step index per jump and i.i.d. magnitudes, which has exactly the
+per-step Poisson law and keeps the hot loop free of per-step count draws.
 
-    S'  = S exp((r - lambda1 C_Y - sigma^2/2) dt + sigma sqrt(dt) xi1)
-            * (product of Y jumps in the step)
+The assets' Brownian motions and jumps are independent of the rate's, so
+given the rate integral I over an interval of length T the log asset
+move is exact in law:
 
-Jump counts per step are Poisson; they are realised by drawing each
-path's total jump count over [0, tau], a uniform step index per jump
-and i.i.d. magnitudes, which has exactly the per-step Poisson law and
-keeps the hot loop free of per-step count draws.  The discount integral
-uses the trapezoid rule on the same grid.
+    ln S' - ln S = I + (-lambda1 C_Y - sigma^2/2) T + sigma sqrt(T) Z + sum ln Y
+
+I is the trapezoid rule on the rate grid, the same integral that
+discounts, so e^{-I} S_tau is an exact martingale at any step count.
+Pricing draws one interval, [0, tau]; ``simulate_paths`` draws one per
+step.  Only the rate is stepped in time.
 
 Randomness is stream-splittable (PCG64 seeded through SeedSequence
 spawn keys), split per block and per component (rate / asset 1 /
-asset 2): results are bit-for-bit reproducible for a given SimSpec,
+asset 2).  Draw order per block: the rate stream draws its jump schedule
+(counts, step indices, magnitudes), then one Gaussian vector per step;
+each asset stream draws its Gaussians for all intervals, then its
+Poisson counts for all intervals, then the log jump sums.  Asset 2 mixes
+asset 1's Gaussians in through the correlation and reads only its own
+stream, so results are bit-for-bit reproducible for a given SimSpec,
 independent of worker count, and the asset-1 draws of a basket run
 coincide with a single-asset run under the same seed.  Antithetic pairs
-negate the Gaussian draws and share the jump draws.  Blocks are
-embarrassingly parallel; ``workers`` > 1 fans them out to processes and
-reduces in block order.
+negate every Gaussian (rate and assets) and share every jump draw.
+Blocks are embarrassingly parallel; ``workers`` > 1 fans them out to
+processes and reduces in block order.
 """
 
 from __future__ import annotations
@@ -34,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import AssetParams, BasketParams, MarketState, PriceResult, RateParams, SimSpec
+from .params import (AssetParams, BasketParams, MarketState, PriceResult, RateParams, SimSpec,
+                     validate)
 
 __all__ = ["PathBundle", "simulate_paths", "mc_option_price", "mc_bond_price", "mc_basket_price"]
 
@@ -81,45 +93,48 @@ def _blocks(spec: SimSpec) -> list[tuple[int, int]]:
     return out
 
 
-class _JumpSchedule:
-    """Per-block jump draws binned by step, served as (owners, values) slices."""
-
-    def __init__(self, intensity: float, magnitudes, n_entities: int, n_steps: int,
-                 tau: float, rng: np.random.Generator):
-        counts = rng.poisson(intensity * tau, n_entities)
-        total = int(counts.sum())
-        steps = rng.integers(0, n_steps, total)
-        values = magnitudes(total, rng)
-        owners = np.repeat(np.arange(n_entities), counts)
-        order = np.argsort(steps, kind="stable")
-        self._steps = steps[order]
-        self._owners = owners[order]
-        self._values = values[order]
-        self._bounds = np.searchsorted(self._steps, np.arange(n_steps + 1))
-        self._buf = np.zeros(n_entities)
-
-    def step_sums(self, step: int):
-        """(owners, values, dense) for this step; dense is a reused buffer."""
-        lo, hi = self._bounds[step], self._bounds[step + 1]
-        owners = self._owners[lo:hi]
-        if owners.size == 0:
-            return None
-        np.add.at(self._buf, owners, self._values[lo:hi])
-        return owners
-
-    def clear(self, owners) -> None:
-        self._buf[owners] = 0.0
-
-    @property
-    def dense(self) -> np.ndarray:
-        return self._buf
+def _rate_jumps(rate: RateParams, n_entities: int, n_steps: int, tau: float,
+                rng: np.random.Generator):
+    """One block's rate jumps as (steps, owners, sizes), sorted by step."""
+    if rate.lam <= 0:
+        return np.empty(0, int), np.empty(0, int), np.empty(0)
+    counts = rng.poisson(rate.lam * tau, n_entities)
+    total = int(counts.sum())
+    steps = rng.integers(0, n_steps, total)
+    sizes = rate.x_law.sample(total, rng)
+    order = np.argsort(steps, kind="stable")
+    return steps[order], np.repeat(np.arange(n_entities), counts)[order], sizes[order]
 
 
-def _log_magnitudes(law):
-    """Sampler of log jump factors for multiplicative jumps."""
-    def draw(total: int, rng: np.random.Generator) -> np.ndarray:
-        return np.log(law.sample(total, rng)) if total else np.empty(0)
-    return draw
+def _asset_logs(assets, rho, spots, integrals, dt, rngs, antithetic):
+    """Log asset levels at the ends of the observation intervals.
+
+    ``integrals`` (lead, entities, intervals) holds the rate integral over
+    each interval of length ``dt``.  Returns, per asset, the log levels
+    (same shape) and the log jump sums (entities, intervals).
+    """
+    _, n_entities, n_obs = integrals.shape
+    rho_c = math.sqrt(max(1.0 - rho * rho, 0.0))
+    logs, jumps = [], []
+    z1 = None
+    for asset, spot, rng in zip(assets, spots, rngs):
+        z = rng.standard_normal((n_entities, n_obs))
+        if z1 is None:
+            z1 = z
+        else:
+            z = rho * z1 + rho_c * z
+        if antithetic:
+            z = np.stack([z, -z])
+        if asset.lambda1 > 0:
+            counts = rng.poisson(asset.lambda1 * dt, (n_entities, n_obs))
+            log_y = asset.y_law.sample_log_product(counts, rng)
+        else:
+            log_y = np.zeros((n_entities, n_obs))
+        drift = (-asset.lambda1 * asset.c_y - 0.5 * asset.sigma**2) * dt
+        steps = integrals + drift + (asset.sigma * math.sqrt(dt)) * z + log_y
+        logs.append(math.log(spot) + np.cumsum(steps, axis=-1))
+        jumps.append(log_y)
+    return logs, jumps
 
 
 def _simulate_block(
@@ -132,142 +147,90 @@ def _simulate_block(
     spec: SimSpec,
     keep_paths: bool = False,
 ):
-    """Advance one block of paths; returns terminal state or full grids.
+    """Advance one block of paths; returns terminal levels or full grids.
 
-    Per-stream draw order is fixed (jump schedule at block start, then
-    one Gaussian vector per step).  Asset 2 consumes only its own stream
-    plus the shared xi1 through the correlation, which keeps asset-1
-    paths identical between single-asset and basket runs.
+    The time loop steps only the rate; the assets are then drawn over
+    [0, tau] when pricing, or over each step when ``keep_paths``.
     """
     tau = state.tau
     n_steps = _n_steps_total(spec, tau)
     dt = tau / n_steps
     sqrt_dt = math.sqrt(dt)
-    rngs = [_rng(spec.seed, block, c) for c in range(3)]
+    rngs = [_rng(spec.seed, block, c) for c in range(1 + len(assets))]
     lead = 2 if spec.antithetic else 1
-    spots = state.spots()
 
-    jumps_r = (_JumpSchedule(rate.lam, rate.x_law.sample, n_entities, n_steps, tau, rngs[0])
-               if rate.lam > 0 else None)
-    jumps_s = [
-        (_JumpSchedule(asset.lambda1, _log_magnitudes(asset.y_law), n_entities,
-                       n_steps, tau, rngs[1 + i])
-         if asset.lambda1 > 0 else None)
-        for i, asset in enumerate(assets)
-    ]
+    j_steps, j_owners, j_sizes = _rate_jumps(rate, n_entities, n_steps, tau, rngs[0])
+    bounds = np.searchsorted(j_steps, np.arange(n_steps + 1)).tolist()
 
-    r = np.full((lead, n_entities), float(state.r))
-    log_s = [np.full((lead, n_entities), math.log(spots[i])) for i in range(len(assets))]
+    r0 = float(state.r)
+    r = np.full((lead, n_entities), r0)
     r_running = np.zeros((lead, n_entities))  # sum of step-start rates
-    rho_c = math.sqrt(max(1.0 - rho * rho, 0.0))
-    s_drift = [(-asset.lambda1 * asset.c_y - 0.5 * asset.sigma**2) * dt for asset in assets]
-    drift_const = (rate.k * rate.a - rate.lam * rate.c_x) * dt
-
+    h = -math.expm1(-rate.k * dt) / rate.k if rate.k > 0 else dt
+    drift_const = (rate.k * rate.a - rate.lam * rate.c_x) * h
     if keep_paths:
         r_path = np.empty((lead, n_entities, n_steps + 1))
         r_path[..., 0] = r
-        s_paths = [np.empty((lead, n_entities, n_steps + 1)) for _ in assets]
-        for i, ls in enumerate(log_s):
-            s_paths[i][..., 0] = np.exp(ls)
-        rj_path = np.zeros((lead, n_entities, n_steps))
-        aj_paths = [np.ones((lead, n_entities, n_steps)) for _ in assets]
-
-    def gaussians(rng):
-        xi = rng.standard_normal(n_entities)
-        return np.stack([xi, -xi]) if spec.antithetic else xi[None, :]
 
     for step in range(n_steps):
-        xi_r = gaussians(rngs[0])
+        xi = rngs[0].standard_normal(n_entities)
+        xi_r = np.stack([xi, -xi]) if spec.antithetic else xi[None, :]
         r_running += r
         r_plus = np.maximum(r, 0.0)
-        r_new = r + drift_const - (rate.k * dt) * r_plus \
+        r = r + drift_const - (rate.k * h) * r_plus \
             + (rate.sigma_r * sqrt_dt) * np.sqrt(r_plus) * xi_r
-        if jumps_r is not None:
-            owners = jumps_r.step_sums(step)
-            if owners is not None:
-                r_new += jumps_r.dense
-                if keep_paths:
-                    rj_path[..., step] = jumps_r.dense
-                jumps_r.clear(owners)
-
-        xi1 = None
-        for i, asset in enumerate(assets):
-            xi = gaussians(rngs[1 + i])
-            if i == 1:
-                xi = rho * xi1 + rho_c * xi
-            else:
-                xi1 = xi
-            log_s[i] += r * dt + s_drift[i] + (asset.sigma * sqrt_dt) * xi
-            sched = jumps_s[i]
-            if sched is not None:
-                owners = sched.step_sums(step)
-                if owners is not None:
-                    log_s[i] += sched.dense
-                    if keep_paths:
-                        aj_paths[i][..., step] = np.exp(sched.dense)
-                    sched.clear(owners)
-        r = r_new
-
+        lo, hi = bounds[step], bounds[step + 1]
+        if hi > lo:
+            np.add.at(r, (slice(None), j_owners[lo:hi]), j_sizes[lo:hi])
         if keep_paths:
             r_path[..., step + 1] = r
-            for i in range(len(assets)):
-                s_paths[i][..., step + 1] = np.exp(log_s[i])
-
-    # Trapezoid of r on the grid from the running sum of step starts.
-    integral = (r_running + 0.5 * (r - np.full((lead, n_entities), float(state.r)))) * dt
 
     if keep_paths:
-        flat = lambda arr: arr.reshape(-1, arr.shape[-1])
-        return (
-            flat(r_path),
-            [flat(sp) for sp in s_paths],
-            flat(rj_path),
-            [flat(aj) for aj in aj_paths],
-        )
-    return r, [np.exp(ls) for ls in log_s], integral
+        integrals, obs_dt = 0.5 * (r_path[..., :-1] + r_path[..., 1:]) * dt, dt
+    else:  # trapezoid of r on the grid from the running sum of step starts
+        integrals, obs_dt = ((r_running + 0.5 * (r - r0)) * dt)[..., None], tau
+    logs, log_jumps = _asset_logs(assets, rho, state.spots(), integrals, obs_dt,
+                                  rngs[1:], spec.antithetic)
+    if not keep_paths:
+        return [np.exp(ls[..., 0]) for ls in logs], integrals[..., 0]
+
+    rj_path = np.zeros((lead, n_entities, n_steps))
+    np.add.at(rj_path, (slice(None), j_owners, j_steps), j_sizes)
+    s_paths = [np.exp(np.pad(ls, ((0, 0), (0, 0), (1, 0)), constant_values=math.log(s0)))
+               for s0, ls in zip(state.spots(), logs)]
+    aj_paths = [np.broadcast_to(np.exp(lj), (lead, *lj.shape)) for lj in log_jumps]
+    flat = lambda arr: arr.reshape(-1, arr.shape[-1])
+    return flat(r_path), [flat(sp) for sp in s_paths], flat(rj_path), [flat(aj) for aj in aj_paths]
 
 
-def _payoff_kind(assets, strike, weights):
-    if not assets:
-        return None
-    if len(assets) == 1:
-        return ("call", strike)
-    if weights.kind == "geometric":
-        return ("geometric", strike, weights.alpha)
-    return ("arithmetic", strike, weights.weights)
+def _payoff(payoff, s):
+    """Undiscounted payoff of terminal levels ``s`` (floats or arrays).
+
+    ``payoff`` is None for the bond, else (strike, weights) with weights
+    None for a single-asset call.
+    """
+    if payoff is None:
+        return 1.0
+    strike, w = payoff
+    if w is None:
+        level = s[0]
+    elif w.kind == "geometric":
+        level = s[0] ** w.alpha * s[1] ** (1.0 - w.alpha)
+    else:
+        level = w.weights[0] * s[0] + w.weights[1] * s[1]
+    return np.maximum(level - strike, 0.0)
 
 
 def _block_values(rate, assets, rho, state, block, n_entities, spec, payoff) -> np.ndarray:
-    r, s_list, integral = _simulate_block(rate, assets, rho, state, block, n_entities, spec)
-    disc = np.exp(-integral)
-    if payoff is None:
-        vals = disc
-    elif payoff[0] == "call":
-        vals = disc * np.maximum(s_list[0] - payoff[1], 0.0)
-    elif payoff[0] == "geometric":
-        alpha = payoff[2]
-        vals = disc * np.maximum(s_list[0] ** alpha * s_list[1] ** (1.0 - alpha) - payoff[1], 0.0)
-    else:
-        w1, w2 = payoff[2]
-        vals = disc * np.maximum(w1 * s_list[0] + w2 * s_list[1] - payoff[1], 0.0)
+    s_list, integral = _simulate_block(rate, assets, rho, state, block, n_entities, spec)
+    vals = np.exp(-integral) * _payoff(payoff, s_list)
     return vals.mean(axis=0)  # antithetic pair average
 
 
 def _run(rate, assets, rho, state, spec, payoff, workers: int = 1) -> PriceResult:
     """Discounted-payoff estimate over all blocks, reduced in block order."""
     if state.tau == 0.0:
-        s = state.spots()
-        if payoff is None:
-            value = 1.0
-        elif payoff[0] == "call":
-            value = max(s[0] - payoff[1], 0.0)
-        elif payoff[0] == "geometric":
-            value = max(s[0] ** payoff[2] * s[1] ** (1.0 - payoff[2]) - payoff[1], 0.0)
-        else:
-            w1, w2 = payoff[2]
-            value = max(w1 * s[0] + w2 * s[1] - payoff[1], 0.0)
-        return PriceResult(value=value, terms_used=None, quad_error=0.0,
-                           converged=True, stderr=0.0)
+        return PriceResult(value=float(_payoff(payoff, state.spots())), terms_used=None,
+                           quad_error=0.0, converged=True, stderr=0.0)
 
     blocks = _blocks(spec)
     if workers > 1 and len(blocks) > 1:
@@ -299,13 +262,16 @@ def mc_option_price(
     workers: int = 1,
 ) -> PriceResult:
     """Discounted single-asset call estimate with its standard error."""
-    return _run(rate, (asset,), 0.0, state, spec, ("call", state.strike), workers)
+    validate(asset)
+    validate(state)
+    return _run(rate, (asset,), 0.0, state, spec, (state.strike, None), workers)
 
 
 def mc_bond_price(rate: RateParams, r0: float, tau: float, spec: SimSpec,
                   workers: int = 1) -> PriceResult:
     """Estimate of E[exp(-int r)] for the jump-extended square-root rate."""
     state = MarketState(spot=1.0, r=r0, tau=tau, strike=1.0)
+    validate(state)
     return _run(rate, (), 0.0, state, spec, None, workers)
 
 
@@ -314,11 +280,12 @@ def mc_basket_price(
     workers: int = 1,
 ) -> PriceResult:
     """Discounted basket call estimate; the only route for arithmetic baskets."""
+    validate(basket)
+    validate(state2)
     if len(state2.spots()) != 2:
         raise ValueError("basket simulation needs a two-spot MarketState")
-    payoff = _payoff_kind((basket.asset1, basket.asset2), state2.strike, basket.weights)
     return _run(rate, (basket.asset1, basket.asset2), basket.rho, state2, spec,
-                payoff, workers)
+                (state2.strike, basket.weights), workers)
 
 
 def simulate_paths(
@@ -332,6 +299,9 @@ def simulate_paths(
     ``assets`` may be a single AssetParams, a BasketParams for two
     correlated assets, or None for rate-only paths.
     """
+    if assets is not None:
+        validate(assets)
+    validate(state)
     if isinstance(assets, BasketParams):
         asset_tuple: tuple[AssetParams, ...] = (assets.asset1, assets.asset2)
         rho = assets.rho
@@ -341,28 +311,18 @@ def simulate_paths(
         asset_tuple, rho = (), 0.0
 
     n_steps = _n_steps_total(spec, state.tau)
-    t = np.linspace(0.0, state.tau, n_steps + 1)
-    r_parts, s_parts, rj_parts, aj_parts = [], [], [], []
-    for block, n_entities in _blocks(spec):
-        r_p, s_p, rj_p, aj_p = _simulate_block(rate, asset_tuple, rho, state, block,
-                                               n_entities, spec, keep_paths=True)
-        r_parts.append(r_p)
-        s_parts.append(s_p)
-        rj_parts.append(rj_p)
-        aj_parts.append(aj_p)
-
-    r_all = np.concatenate(r_parts)[: spec.n_paths]
-    rj_all = np.concatenate(rj_parts)[: spec.n_paths]
-    s_all = [np.concatenate([p[i] for p in s_parts])[: spec.n_paths]
-             for i in range(len(asset_tuple))]
-    aj_all = [np.concatenate([p[i] for p in aj_parts])[: spec.n_paths]
-              for i in range(len(asset_tuple))]
+    parts = [_simulate_block(rate, asset_tuple, rho, state, block, n_entities, spec,
+                             keep_paths=True)
+             for block, n_entities in _blocks(spec)]
+    join = lambda arrays: np.concatenate(arrays)[: spec.n_paths]
+    s_all = [join([p[1][i] for p in parts]) for i in range(len(asset_tuple))]
+    aj_all = [join([p[3][i] for p in parts]) for i in range(len(asset_tuple))]
     return PathBundle(
-        t=t,
-        r=r_all,
+        t=np.linspace(0.0, state.tau, n_steps + 1),
+        r=join([p[0] for p in parts]),
         s=s_all[0] if asset_tuple else None,
         s2=s_all[1] if len(asset_tuple) > 1 else None,
-        rate_jumps=rj_all,
+        rate_jumps=join([p[2] for p in parts]),
         asset_jumps=aj_all[0] if asset_tuple else None,
         asset2_jumps=aj_all[1] if len(asset_tuple) > 1 else None,
     )

@@ -126,7 +126,7 @@ def _tops(lam: float, tau: float, cap: int, mass_tol: float,
         top = min(force, HARD_CAP)
     else:
         top = poisson_cutoff(lam, tau, mass_tol, cap)
-    mass_ok = poisson_weights(lam, tau, top).sum() >= 1.0 - mass_tol
+    mass_ok = bool(poisson_weights(lam, tau, top).sum() >= 1.0 - mass_tol)
     return top, mass_ok
 
 

@@ -12,6 +12,8 @@ from levypricer import (
     Fixed,
     GeometricWeights,
     ArithmeticWeights,
+    InvalidParameter,
+    Lognormal,
     MarketState,
     RateParams,
     SimSpec,
@@ -54,6 +56,27 @@ class TestReproducibility:
         with pytest.raises(ValueError):
             mc_option_price(bench_rate, bench_asset, bench_state,
                             SimSpec(n_paths=10_001, n_steps=16, seed=1))
+
+    def test_invalid_inputs_rejected(self, bench_rate, bench_asset, bench_state):
+        spec = SimSpec(n_paths=1000, n_steps=16, seed=1)
+        bad_asset = AssetParams(sigma=-0.05, lambda1=1.0, y_law=Fixed(1.01))
+        cases = [
+            (bad_asset, bench_state),
+            (bench_asset, MarketState(spot=BENCH_SPOT, r=BENCH_R0, tau=1.0, strike=-10.0)),
+            (bench_asset, MarketState(spot=math.nan, r=BENCH_R0, tau=1.0, strike=BENCH_STRIKE)),
+            (bench_asset, MarketState(spot=BENCH_SPOT, r=BENCH_R0, tau=-1.0, strike=BENCH_STRIKE)),
+        ]
+        for asset, state in cases:
+            with pytest.raises(InvalidParameter):
+                mc_option_price(bench_rate, asset, state, spec)
+        basket = BasketParams(asset1=bench_asset, asset2=bad_asset, rho=0.0)
+        state2 = MarketState(spot=(BENCH_SPOT, 95.0), r=BENCH_R0, tau=1.0, strike=BENCH_STRIKE)
+        with pytest.raises(InvalidParameter):
+            mc_basket_price(bench_rate, basket, state2, spec)
+        with pytest.raises(InvalidParameter):
+            mc_bond_price(bench_rate, BENCH_R0, -1.0, spec)
+        with pytest.raises(InvalidParameter):
+            simulate_paths(bench_rate, bad_asset, bench_state, spec)
 
 
 class TestDegenerateCases:
@@ -106,12 +129,20 @@ class TestMartingaleDiagnostics:
 
     def test_discounted_asset_is_martingale(self, bench_rate, bench_asset, bench_state):
         # E[e^{-int r} S(T)] = S0 under the risk-neutral dynamics.  The
-        # left-endpoint asset step against the trapezoid discount leaves
-        # an O(dt) gap, so the grid must be fine enough for the check.
-        spec = SimSpec(n_paths=200_000, n_steps=512, seed=29)
+        # asset draw uses the same trapezoid rate integral that discounts,
+        # so the identity holds at any step count, coarse grids included.
         state_k0 = MarketState(spot=BENCH_SPOT, r=BENCH_R0, tau=1.0, strike=1e-12)
-        res = mc_option_price(bench_rate, bench_asset, state_k0, spec)
-        assert abs(res.value - BENCH_SPOT) <= 4 * res.stderr
+        for n_steps in (512, 8):
+            spec = SimSpec(n_paths=200_000, n_steps=n_steps, seed=29)
+            res = mc_option_price(bench_rate, bench_asset, state_k0, spec)
+            assert abs(res.value - BENCH_SPOT) <= 4 * res.stderr, n_steps
+        # Basket leg on asset 2 alone (alpha = 0), with lognormal jumps.
+        asset2 = AssetParams(sigma=0.2, lambda1=1.0, y_law=Lognormal(-0.02, 0.08))
+        basket = BasketParams(asset1=bench_asset, asset2=asset2, rho=0.5,
+                              weights=GeometricWeights(0.0))
+        state2 = MarketState(spot=(BENCH_SPOT, 95.0), r=BENCH_R0, tau=1.0, strike=1e-12)
+        res = mc_basket_price(bench_rate, basket, state2, SimSpec(200_000, 8, seed=29))
+        assert abs(res.value - 95.0) <= 4 * res.stderr
 
     def test_antithetic_does_not_hurt(self, bench_rate, bench_asset, bench_state):
         anti = mc_option_price(bench_rate, bench_asset, bench_state,

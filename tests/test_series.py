@@ -15,6 +15,7 @@ from levypricer import (
     Lognormal,
     MarketState,
     RateParams,
+    SimSpec,
     UnsupportedBasket,
     UnsupportedLaw,
     bond_price,
@@ -22,6 +23,7 @@ from levypricer import (
     f_single,
     g_basket,
     basket_price,
+    mc_option_price,
     merton_reference,
     option_price,
     w_price,
@@ -102,6 +104,20 @@ class TestOptionPrice:
         u = option_price(bench_rate, bench_asset, bench_state)
         b = bond_price(bench_rate, BENCH_R0, BENCH_TAU)
         assert u.value == pytest.approx(b * f_res.value, rel=1e-14)
+
+    def test_converged_is_python_bool(self, bench_rate, bench_asset, bench_state):
+        basket = BasketParams(asset1=AssetParams(sigma=0.2, lambda1=0.0, y_law=Fixed(1.0)),
+                              asset2=AssetParams(sigma=0.3, lambda1=0.0, y_law=Fixed(1.0)),
+                              rho=0.5, weights=GeometricWeights(0.6))
+        state2 = MarketState(spot=(110.0, 100.0), r=BENCH_R0, tau=1.0, strike=100.0)
+        results = [
+            option_price(bench_rate, bench_asset, bench_state),
+            basket_price(bench_rate, basket, state2),
+            w_price(bench_rate, bench_asset, bench_state),
+            mc_option_price(bench_rate, bench_asset, bench_state, SimSpec(1000, 16, seed=0)),
+        ]
+        for res in results:
+            assert type(res.converged) is bool
 
     def test_tiny_strike_matches_jump_shift_identity(self, bench_rate, bench_asset):
         # For K -> 0 the series price of the asset has the closed form
