@@ -240,15 +240,18 @@ def bd_series_many(
     tau: float,
     n_time_nodes: int = 64,
     max_terms: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    return_converged: bool = False,
+):
     """(B, D) arrays over a batch of (possibly complex) frequencies.
 
     ``max_terms`` truncates the h series to its first ``max_terms``
-    coefficients, which is what the convergence study varies.
+    coefficients, which is what the convergence study varies.  With
+    ``return_converged`` the per-frequency flag of the coefficient table
+    (False where it was cut at COEFF_CAP) is returned third.
     """
     _check_tau(params, tau)
     phis = np.asarray(phis, dtype=complex)
-    table, _ = _coeff_table(params, phis, tau)
+    table, converged = _coeff_table(params, phis, tau)
     if max_terms is not None:
         table = table[:max_terms]
     sig2 = params.sigma_r**2
@@ -266,7 +269,7 @@ def bd_series_many(
     drift = params.k * params.a + _jump_drift(params, g)  # (n_nodes,)
     d_nodes = d_at(u)  # (n_phi, n_nodes) via polyval broadcasting
     b = 0.5 * tau * (d_nodes @ (w * drift)) - 0.5 * sigma**2 * (phis**2 + 1j * phis) * tau
-    return b, d_tau
+    return (b, d_tau, converged) if return_converged else (b, d_tau)
 
 
 def bd_ode_many(

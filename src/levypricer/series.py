@@ -7,17 +7,25 @@ jump counts,
                    E_{l,n}[ W(S prod_{i<=n} Y_i e^{-lambda1 C_Y tau},
                              r + sum_{i<=l} X_i, tau) ],
 
-and the option price is U = b(tau, r) * F.  The inner expectation
-factorises over the independent X and Y streams: the l-fold sum of
-Exponential magnitudes is Erlang (generalized Gauss-Laguerre nodes),
-the n-fold product of Lognormal factors is again lognormal
-(Gauss-Hermite in log space), and Fixed laws collapse to single points.
+and the option price is U = b(tau, r) * F.  The expectation folds into
+one Fourier inversion at the compensated spot (see ``fourier``), with one
+factor per jump stream, truncated at the same Poisson tops as the sum
+over states it replaces:
+
+    Psi_X(D) = sum_{l<=l_top} P_l mgf_X(D)^l,
+    Psi_Y(u) = sum_{n<=n_top} P_n E[Y^{iu}]^n,
+
+E[Y^{iu}] = c^{iu} (Fixed) or exp(i u mu_j - u^2 sigma_j^2 / 2)
+(Lognormal).  Rows of j-truncated factors give the diagonal partial sums
+of the convergence report from the same panels.  The jumps widen the
+integrand's log spread by n_top |ln c| or n_top |mu_j|.
 
 Two assets: the same expansion with a third Poisson stream, where the
 geometric basket H = S1^alpha S2^(1-alpha) reduces exactly to the
 one-dimensional pricer with effective volatility sigma_H and a drift
-deficit delta absorbed into the spot argument.  Arithmetic baskets have
-no such reduction and are routed to the Monte Carlo engine.
+deficit delta absorbed into the spot argument; its asset factor is
+Psi_Y1(alpha u) Psi_Y2((1-alpha) u).  Arithmetic baskets have no such
+reduction and are routed to the Monte Carlo engine.
 
 Merton's classic flat-rate series is kept as the degenerate-case
 oracle.
@@ -29,12 +37,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .bond import bond_price
 from .errors import UnsupportedBasket, UnsupportedLaw
-from .fourier import w_values
-from .laws import (
+from .fourier import JumpFold, w_values
+# jump_sum_nodes, product_nodes: unused, but perfbench/spans.py wraps them here.
+from .laws import (  # noqa: F401
     Exponential,
     Fixed,
     JumpLaw,
@@ -53,6 +62,7 @@ from .params import (
     QuadratureSpec,
     RateParams,
     SeriesTruncation,
+    validate,
 )
 
 __all__ = [
@@ -66,8 +76,6 @@ __all__ = [
 ]
 
 HARD_CAP = 60  # Poisson series hard cap, shared with poisson_cutoff
-X_NODES = 32
-Y_NODES = 64  # n-fold lognormal products spread with sqrt(n); 32 is not enough
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,7 @@ def _diffs(partials: list[float]) -> list[float]:
 def _check_x_law(x_law: JumpLaw) -> None:
     if not isinstance(x_law, (Exponential, Fixed)):
         raise UnsupportedLaw(
-            f"rate jump law {type(x_law).__name__} has no jump-sum quadrature; "
+            f"rate jump law {type(x_law).__name__} has no mgf at complex arguments; "
             "use the Monte Carlo engine"
         )
 
@@ -106,16 +114,26 @@ def _check_y_law(y_law: JumpLaw) -> None:
             f"asset jump law {type(y_law).__name__} has no n-fold product form; "
             "use the Monte Carlo engine"
         )
+    if isinstance(y_law, Fixed) and y_law.c <= 0.0:
+        raise UnsupportedLaw("multiplicative jumps require a strictly positive magnitude")
 
 
-def _x_blocks(x_law: JumpLaw, l_top: int, n_nodes: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    blocks = [(np.zeros(1), np.ones(1))]
-    blocks += [jump_sum_nodes(x_law, l, n_nodes) for l in range(1, l_top + 1)]
-    return blocks
+def _y_power(y_law: JumpLaw, u):
+    """E[Y^{iu}] = E[exp(i u ln Y)] for complex u."""
+    if isinstance(y_law, Fixed):
+        return np.exp(1j * u * math.log(y_law.c))
+    return np.exp(1j * u * y_law.mu_j - 0.5 * u * u * y_law.sigma_j**2)
 
 
-def _y_blocks(y_law: JumpLaw, n_top: int, n_nodes: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [product_nodes(y_law, n, n_nodes) for n in range(n_top + 1)]
+def _log_step(y_law: JumpLaw) -> float:
+    """Log shift of one asset jump: |ln c| or |mu_j|."""
+    return abs(math.log(y_law.c) if isinstance(y_law, Fixed) else y_law.mu_j)
+
+
+def _truncations(weights: np.ndarray, base) -> np.ndarray:
+    """Rows sum_{n<=j} P_n base^n for j = 0..top, each shaped like base."""
+    n = np.arange(weights.size).reshape((-1,) + (1,) * np.ndim(base))
+    return np.cumsum(weights.reshape(n.shape) * np.power(base, n), axis=0)
 
 
 def _tops(lam: float, tau: float, cap: int, mass_tol: float,
@@ -130,14 +148,56 @@ def _tops(lam: float, tau: float, cap: int, mass_tol: float,
     return top, mass_ok
 
 
+def _jump_series(rate: RateParams, sigma: float, spot: float, state: MarketState,
+                 legs: list[tuple[AssetParams, float]], caps: tuple[int, ...],
+                 trunc: SeriesTruncation, spec: QuadratureSpec,
+                 force: tuple[int, ...] | None) -> tuple[PriceResult, ConvergenceReport]:
+    """Poisson series over the rate jumps and each leg's asset jumps, where
+    ``legs`` pairs each asset with its weight in the log price of ``spot``
+    (1, or alpha and 1 - alpha); ``caps``/``force`` list the rate first."""
+    tau = state.tau
+    intensities = [rate.lam] + [asset.lambda1 for asset, _ in legs]
+    tops, mass_ok = zip(*(_tops(lam, tau, cap, trunc.mass_tol, f)
+                          for lam, cap, f in zip(intensities, caps, force or [None] * len(caps))))
+    weights = [poisson_weights(lam, tau, top) for lam, top in zip(intensities, tops)]
+    rows = np.arange(max(tops) + 1)
+    x_rows, *y_rows = [np.minimum(rows, top) for top in tops]
+
+    def psi(u, d):  # E[exp(d sum X + i u sum ln Y)], one row per diagonal truncation
+        # Without a rate jump counted only P_0 enters, and mgf_X(d) may be infinite.
+        out = _truncations(weights[0], rate.x_law.mgf(d) if tops[0] else np.ones_like(d))[x_rows]
+        for (asset, alpha), p, pick in zip(legs, weights[1:], y_rows):
+            out = out * _truncations(p, _y_power(asset.y_law, alpha * u))[pick]
+        return out
+
+    comp = math.exp(-tau * sum(alpha * a.lambda1 * a.c_y for a, alpha in legs))
+    spread = sum(alpha * top * _log_step(a.y_law) for (a, alpha), top in zip(legs, tops[1:]))
+    w, tail, loadings_ok = w_values(rate, sigma, tau, state.strike, np.array([spot * comp]),
+                                    np.array([state.r]), spec, None, JumpFold(psi, spread))
+
+    partials = [float(v) for v in w]
+    diffs = _diffs(partials)
+    report = ConvergenceReport(
+        indices=tuple(tuple(min(j, top) for top in tops) for j in rows.tolist()),
+        partial_sums=tuple(partials),
+        abs_diffs=tuple(diffs),
+        final_terms=tops,
+    )
+    # Tail is controlled either by the Poisson mass criterion or by the
+    # last two successive differences falling below term_tol.
+    term_ok = len(diffs) >= 2 and max(diffs[-2:]) <= trunc.term_tol
+    converged = (all(mass_ok) or term_ok) and loadings_ok
+    result = PriceResult(value=partials[-1], terms_used=tops,
+                         quad_error=tail, converged=converged)
+    return result, report
+
+
 def f_single(
     rate: RateParams,
     asset: AssetParams,
     state: MarketState,
     trunc: SeriesTruncation = SeriesTruncation(),
     spec: QuadratureSpec = QuadratureSpec(),
-    x_nodes: int = X_NODES,
-    y_nodes: int = Y_NODES,
     _force_tops: tuple[int, int] | None = None,
 ) -> tuple[PriceResult, ConvergenceReport]:
     """Double Poisson series for the forward-measure call value F.
@@ -145,59 +205,13 @@ def f_single(
     Returns the price (undiscounted; multiply by the bond for U) and a
     diagonal-truncation convergence report.
     """
+    validate(asset)
+    validate(state)
     _check_x_law(rate.x_law)
     _check_y_law(asset.y_law)
     (spot,) = state.spots()
-    tau, r = state.tau, state.r
-
-    force_l, force_n = _force_tops if _force_tops else (None, None)
-    l_top, l_mass_ok = _tops(rate.lam, tau, trunc.l_max, trunc.mass_tol, force_l)
-    n_top, n_mass_ok = _tops(asset.lambda1, tau, trunc.n_max, trunc.mass_tol, force_n)
-    p_l = poisson_weights(rate.lam, tau, l_top)
-    p_n = poisson_weights(asset.lambda1, tau, n_top)
-
-    x_blocks = _x_blocks(rate.x_law, l_top, x_nodes)
-    y_blocks = _y_blocks(asset.y_law, n_top, y_nodes)
-    comp = math.exp(-asset.lambda1 * asset.c_y * tau)
-
-    spots_all, rs_all, weights_all, slices = [], [], [], {}
-    pos = 0
-    for l, (xn, xw) in enumerate(x_blocks):
-        for n, (yn, yw) in enumerate(y_blocks):
-            sp = spot * yn * comp
-            spots_all.append(np.tile(sp, xn.size))
-            rs_all.append(np.repeat(r + xn, yn.size))
-            weights_all.append(np.repeat(xw, yn.size) * np.tile(yw, xn.size))
-            size = xn.size * yn.size
-            slices[(l, n)] = slice(pos, pos + size)
-            pos += size
-
-    w, tail = w_values(rate, asset.sigma, tau, state.strike,
-                       np.concatenate(spots_all), np.concatenate(rs_all),
-                       spec=spec)
-    weights_flat = np.concatenate(weights_all)
-    terms = np.empty((l_top + 1, n_top + 1))
-    for (l, n), sl in slices.items():
-        terms[l, n] = float(weights_flat[sl] @ w[sl])
-    weighted = p_l[:, None] * p_n[None, :] * terms
-
-    diag_top = max(l_top, n_top)
-    partials = [float(weighted[: min(j, l_top) + 1, : min(j, n_top) + 1].sum())
-                for j in range(diag_top + 1)]
-    diffs = _diffs(partials)
-    report = ConvergenceReport(
-        indices=tuple((min(j, l_top), min(j, n_top)) for j in range(diag_top + 1)),
-        partial_sums=tuple(partials),
-        abs_diffs=tuple(diffs),
-        final_terms=(l_top, n_top),
-    )
-    # Tail is controlled either by the Poisson mass criterion or by the
-    # last two successive differences falling below term_tol.
-    term_ok = len(diffs) >= 2 and max(diffs[-2:]) <= trunc.term_tol
-    converged = (l_mass_ok and n_mass_ok) or term_ok
-    result = PriceResult(value=partials[-1], terms_used=(l_top, n_top),
-                         quad_error=tail, converged=converged)
-    return result, report
+    return _jump_series(rate, asset.sigma, spot, state, [(asset, 1.0)],
+                        (trunc.l_max, trunc.n_max), trunc, spec, _force_tops)
 
 
 def option_price(
@@ -253,7 +267,7 @@ def merton_reference(
             continue
         sd = math.sqrt(var)
         d1 = (math.log(fwd / strike) + 0.5 * var) / sd
-        total += p * (fwd * norm.cdf(d1) - strike * norm.cdf(d1 - sd))
+        total += p * (fwd * ndtr(d1) - strike * ndtr(d1 - sd))
     return disc * total
 
 
@@ -275,17 +289,17 @@ def g_basket(
     state2: MarketState,
     trunc: SeriesTruncation = SeriesTruncation(),
     spec: QuadratureSpec = QuadratureSpec(),
-    x_nodes: int = X_NODES,
-    y_nodes: int = Y_NODES,
     _force_tops: tuple[int, int, int] | None = None,
 ) -> tuple[PriceResult, ConvergenceReport]:
     """Triple Poisson series for the geometric two-asset basket.
 
-    Each (l, n, m) term shifts the two spots and the rate, then prices
-    through the exact one-dimensional reduction of the geometric basket.
-    Arithmetic baskets are rejected: they have no tractable transform
-    and belong to the Monte Carlo engine.
+    The jump-free basket prices through the exact one-dimensional
+    reduction of the geometric basket, with both assets' jump streams
+    folded in at their weights.  Arithmetic baskets are rejected: they
+    have no tractable transform and belong to the Monte Carlo engine.
     """
+    validate(basket)
+    validate(state2)
     if not isinstance(basket.weights, GeometricWeights):
         raise UnsupportedBasket(
             "arithmetic baskets are priced by Monte Carlo only; use mc_basket_price"
@@ -296,68 +310,12 @@ def g_basket(
     if len(state2.spots()) != 2:
         raise UnsupportedBasket("basket pricing needs a two-spot MarketState")
     s1, s2 = state2.spots()
-    tau, r = state2.tau, state2.r
-    a1, a2 = basket.asset1, basket.asset2
     alpha, beta = basket.weights.alpha, 1.0 - basket.weights.alpha
     sigma_h, delta = _geometric_reduction(basket)
-
-    force_l, force_n, force_m = _force_tops if _force_tops else (None, None, None)
-    l_top, l_ok = _tops(rate.lam, tau, trunc.l_max, trunc.mass_tol, force_l)
-    n_top, n_ok = _tops(a1.lambda1, tau, trunc.n_max, trunc.mass_tol, force_n)
-    m_top, m_ok = _tops(a2.lambda1, tau, trunc.m_max, trunc.mass_tol, force_m)
-    p_l = poisson_weights(rate.lam, tau, l_top)
-    p_n = poisson_weights(a1.lambda1, tau, n_top)
-    p_m = poisson_weights(a2.lambda1, tau, m_top)
-
-    x_blocks = _x_blocks(rate.x_law, l_top, x_nodes)
-    y1_blocks = _y_blocks(a1.y_law, n_top, y_nodes)
-    y2_blocks = _y_blocks(a2.y_law, m_top, y_nodes)
-    leg1 = s1 * math.exp(-a1.lambda1 * a1.c_y * tau)
-    leg2 = s2 * math.exp(-a2.lambda1 * a2.c_y * tau)
-    drift_shift = math.exp(-delta * tau)
-
-    spots_all, rs_all, weights_all, slices = [], [], [], {}
-    pos = 0
-    for l, (xn, xw) in enumerate(x_blocks):
-        for n, (y1n, y1w) in enumerate(y1_blocks):
-            for m, (y2n, y2w) in enumerate(y2_blocks):
-                h = (leg1 * y1n[:, None]) ** alpha * (leg2 * y2n[None, :]) ** beta
-                h = (h * drift_shift).ravel()  # y1-major
-                yw = (y1w[:, None] * y2w[None, :]).ravel()
-                spots_all.append(np.tile(h, xn.size))
-                rs_all.append(np.repeat(r + xn, h.size))
-                weights_all.append(np.repeat(xw, h.size) * np.tile(yw, xn.size))
-                size = xn.size * h.size
-                slices[(l, n, m)] = slice(pos, pos + size)
-                pos += size
-
-    w, tail = w_values(rate, sigma_h, tau, state2.strike,
-                       np.concatenate(spots_all), np.concatenate(rs_all),
-                       spec=spec)
-    weights_flat = np.concatenate(weights_all)
-    terms = np.empty((l_top + 1, n_top + 1, m_top + 1))
-    for (l, n, m), sl in slices.items():
-        terms[l, n, m] = float(weights_flat[sl] @ w[sl])
-    weighted = p_l[:, None, None] * p_n[None, :, None] * p_m[None, None, :] * terms
-
-    diag_top = max(l_top, n_top, m_top)
-    partials = [
-        float(weighted[: min(j, l_top) + 1, : min(j, n_top) + 1, : min(j, m_top) + 1].sum())
-        for j in range(diag_top + 1)
-    ]
-    diffs = _diffs(partials)
-    report = ConvergenceReport(
-        indices=tuple((min(j, l_top), min(j, n_top), min(j, m_top))
-                      for j in range(diag_top + 1)),
-        partial_sums=tuple(partials),
-        abs_diffs=tuple(diffs),
-        final_terms=(l_top, n_top, m_top),
-    )
-    term_ok = len(diffs) >= 2 and max(diffs[-2:]) <= trunc.term_tol
-    converged = (l_ok and n_ok and m_ok) or term_ok
-    result = PriceResult(value=partials[-1], terms_used=(l_top, n_top, m_top),
-                         quad_error=tail, converged=converged)
-    return result, report
+    spot_h = s1**alpha * s2**beta * math.exp(-delta * state2.tau)
+    return _jump_series(rate, sigma_h, spot_h, state2,
+                        [(basket.asset1, alpha), (basket.asset2, beta)],
+                        (trunc.l_max, trunc.n_max, trunc.m_max), trunc, spec, _force_tops)
 
 
 def basket_price(
@@ -398,9 +356,9 @@ def convergence_study(
         partials = []
         # Row n truncates the denominator series at order n (terms a_0..a_n).
         for n in range(max_terms + 1):
-            w, _ = w_values(rate, asset_or_basket.sigma, state.tau, state.strike,
-                            np.array([spot]), np.array([state.r]),
-                            spec=spec, max_terms=n + 1)
+            w, _, _ = w_values(rate, asset_or_basket.sigma, state.tau, state.strike,
+                               np.array([spot]), np.array([state.r]),
+                               spec=spec, max_terms=n + 1)
             partials.append(float(w[0]))
         return ConvergenceReport(
             indices=tuple((n,) for n in range(max_terms + 1)),
@@ -408,16 +366,13 @@ def convergence_study(
             abs_diffs=tuple(_diffs(partials)),
             final_terms=(max_terms,),
         )
-    if selector == "f":
-        if not isinstance(asset_or_basket, AssetParams):
-            raise TypeError("selector 'f' studies the single-asset series")
-        _, report = f_single(rate, asset_or_basket, state,
-                             spec=spec, _force_tops=(max_terms, max_terms))
-        return report
-    if selector == "basket":
-        if not isinstance(asset_or_basket, BasketParams):
-            raise TypeError("selector 'basket' studies the two-asset series")
-        _, report = g_basket(rate, asset_or_basket, state,
-                             spec=spec, _force_tops=(max_terms, max_terms, max_terms))
-        return report
-    raise ValueError(f"unknown convergence selector {selector!r}")
+    series = {"f": (f_single, AssetParams, 2, "single-asset"),
+              "basket": (g_basket, BasketParams, 3, "two-asset")}
+    if selector not in series:
+        raise ValueError(f"unknown convergence selector {selector!r}")
+    pricer, params_type, streams, what = series[selector]
+    if not isinstance(asset_or_basket, params_type):
+        raise TypeError(f"selector {selector!r} studies the {what} series")
+    _, report = pricer(rate, asset_or_basket, state, spec=spec,
+                       _force_tops=(max_terms,) * streams)
+    return report

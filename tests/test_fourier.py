@@ -124,3 +124,37 @@ class TestWPrice:
         state = MarketState(spot=100.0, r=0.03, tau=0.05, strike=100.0)
         with pytest.raises(TailNotDecayed):
             w_price(rate, asset, state, QuadratureSpec(phi_max_cap=60.0))
+
+
+class TestTransformCache:
+    def test_one_transform_per_input(self, bench_rate, bench_asset, bench_state):
+        from levypricer.fourier import call_transform
+
+        call_transform.cache_clear()
+        w_price(bench_rate, bench_asset, bench_state)
+        p_terms(bench_rate, bench_asset, bench_state)
+        info = call_transform.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_grids_bounded_by_halvings(self, bench_rate, bench_asset):
+        from levypricer import option_price
+        from levypricer.fourier import call_transform
+
+        spec = QuadratureSpec()
+        call_transform.cache_clear()
+        tr = call_transform(bench_rate, bench_asset.sigma, 1.0, spec, None)
+        for strike in np.linspace(1.0, 393.0, 57):
+            option_price(bench_rate, bench_asset,
+                         MarketState(spot=BENCH_SPOT, r=BENCH_R0, tau=1.0, strike=strike))
+        # Moneyness far from 1 asks for narrower panels at every spot.
+        spots = np.geomspace(1e-2, 1e4, 40)
+        for spot in spots:
+            w_price(bench_rate, bench_asset,
+                    MarketState(spot=spot, r=BENCH_R0, tau=1.0, strike=BENCH_STRIKE))
+        assert call_transform(bench_rate, bench_asset.sigma, 1.0, spec, None) is tr
+        # Fastest oscillation: the largest |ln(S/K)| of either sweep, plus the
+        # margin and the strike sweep's jump spread (12 jumps of ln 1.01).
+        freq = max(math.log(BENCH_SPOT / 1.0), math.log(BENCH_STRIKE / spots[0])) \
+            + 0.1 + 12 * math.log(1.01)
+        narrowest = 2.0 * 0.6 * spec.nodes_per_panel / freq
+        assert len(tr._grids) <= math.ceil(math.log2(spec.panel_width / narrowest)) + 1

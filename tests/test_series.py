@@ -230,3 +230,43 @@ class TestBasket:
         res, report = g_basket(bench_rate, basket, state2)
         assert res.converged
         assert report.abs_diffs[-1] < 1e-6
+
+
+class TestAnalyticBoundary:
+    def test_invalid_inputs_rejected(self, bench_rate, bench_asset):
+        from levypricer import InvalidParameter, p_terms
+
+        good = MarketState(spot=BENCH_SPOT, r=BENCH_R0, tau=BENCH_TAU, strike=BENCH_STRIKE)
+        bad_asset = AssetParams(sigma=-0.05, lambda1=1.0, y_law=Fixed(1.01))
+        bad_states = [MarketState(spot=BENCH_SPOT, r=BENCH_R0, tau=BENCH_TAU, strike=-10.0),
+                      MarketState(spot=float("nan"), r=BENCH_R0, tau=BENCH_TAU,
+                                  strike=BENCH_STRIKE)]
+        for pricer in (option_price, f_single, w_price, p_terms):
+            with pytest.raises(InvalidParameter):
+                pricer(bench_rate, bad_asset, good)
+            for state in bad_states:
+                with pytest.raises(InvalidParameter):
+                    pricer(bench_rate, bench_asset, state)
+        leg = AssetParams(sigma=0.2, lambda1=0.0, y_law=Fixed(1.0))
+        bad_basket = BasketParams(asset1=leg, asset2=bad_asset, rho=0.5,
+                                  weights=GeometricWeights(0.6))
+        good2 = MarketState(spot=(110.0, 100.0), r=BENCH_R0, tau=1.0, strike=100.0)
+        bad2 = MarketState(spot=(110.0, float("nan")), r=BENCH_R0, tau=1.0, strike=100.0)
+        basket = BasketParams(asset1=leg, asset2=leg, rho=0.5, weights=GeometricWeights(0.6))
+        for pricer in (basket_price, g_basket):
+            with pytest.raises(InvalidParameter):
+                pricer(bench_rate, bad_basket, good2)
+            with pytest.raises(InvalidParameter):
+                pricer(bench_rate, basket, bad2)
+
+    def test_coefficient_cap_reaches_converged_flag(self, bench_rate, bench_asset):
+        # At tau = 4.0 the coefficient table is cut at COEFF_CAP below the
+        # 4.328 radius; at 3.5 it converges within it.
+        for tau, expected in ((3.5, True), (4.0, False)):
+            state = MarketState(spot=BENCH_SPOT, r=BENCH_R0, tau=tau, strike=BENCH_STRIKE)
+            assert option_price(bench_rate, bench_asset, state).converged is expected
+            assert w_price(bench_rate, bench_asset, state).converged is expected
+        leg = AssetParams(sigma=0.2, lambda1=0.0, y_law=Fixed(1.0))
+        basket = BasketParams(asset1=leg, asset2=leg, rho=0.5, weights=GeometricWeights(0.6))
+        state2 = MarketState(spot=(110.0, 100.0), r=BENCH_R0, tau=4.0, strike=100.0)
+        assert basket_price(bench_rate, basket, state2).converged is False
