@@ -15,8 +15,8 @@ and
     A(s) = (k a - lam C_X) * int_0^s G(u) du
            + lam * int_0^s (mgf_X(G(u)) - 1) du,   A(0) = 0.
 
-The G-integral has a closed form; the jump integral is closed per law
-where the mgf is (Exponential, Fixed) and Gauss-Legendre otherwise.  The
+The G-integral has a closed form; the jump integral is Gauss-Legendre
+for every law, checked against a rerun at twice the node count.  The
 classical square-root-diffusion bond formula is kept as an independent
 degenerate-case oracle for lam = 0.
 """
@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import QuadratureNotConverged
-from .params import RateParams
+from .params import MarketState, RateParams, validate
 
 __all__ = [
     "BondLoading",
@@ -129,8 +129,7 @@ def loading_A(
 
 def bond_price(params: RateParams, r: float, s: float, **kwargs) -> float:
     """Zero-coupon bond price exp(A(s) + G(s) r); equals 1 at s = 0."""
-    if s < 0:
-        raise ValueError("bond_price requires s >= 0")
+    validate(MarketState(spot=1.0, r=r, tau=s, strike=1.0))
     return math.exp(loading_A(params, s, **kwargs) + loading_G(params, s) * r)
 
 

@@ -34,9 +34,12 @@ zero of G's denominator,
 
     tau* = (1/m) sqrt(ln((m-k)/(m+k))^2 + pi^2),
 
-which requires sigma_r > 0; for sigma_r = 0 the engine falls back to a
-classical fourth-order integration of the Riccati system, which also
-serves as the independent oracle for the series.
+which requires sigma_r > 0.  At sigma_r = 0 the Riccati equation is
+linear, D' = i phi - k D, and D = -i phi G exactly (G' = -1 - k G), with
+no radius.  ``bd_series_many`` takes that closed form there and the
+series otherwise; both feed the same Gauss-Legendre rule for B.  A
+classical fourth-order integration of the system (``bd_ode_many``) is
+the independent oracle only; no pricing path calls it.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import numpy as np
 
 from .bond import gauss_legendre, loading_G
 from .errors import DegenerateVolatility, DenominatorVanishing, RadiusExceeded, StepCountExceeded
-from .params import AssetParams, RateParams
+from .params import AssetParams, MarketState, RateParams, validate
 
 __all__ = [
     "radius_bound",
@@ -66,6 +69,7 @@ __all__ = [
 COEFF_CAP = 200
 SERIES_RTOL = 1e-16
 MAX_ODE_STEPS = 2_000_000
+TIME_NODES = 64  # Gauss-Legendre nodes of the B integral
 
 
 def radius_bound(params: RateParams) -> float:
@@ -73,28 +77,22 @@ def radius_bound(params: RateParams) -> float:
 
     Raises DegenerateVolatility when sigma_r = 0 (m = k puts the nearest
     singularity at infinity along one branch and the bound formula
-    degenerates; the series path is disabled there anyway).
+    degenerates; the loadings take their closed form there).
     """
     m, k = params.m, params.k
     if params.sigma_r == 0.0 or m <= k:
-        raise DegenerateVolatility("radius bound undefined for sigma_r = 0; use the ODE path")
+        raise DegenerateVolatility("radius bound undefined for sigma_r = 0")
     return (1.0 / m) * math.sqrt(math.log((m - k) / (m + k)) ** 2 + math.pi**2)
 
 
-def _coeff_table(
-    params: RateParams,
-    phis: np.ndarray,
-    tau: float,
-    cap: int = COEFF_CAP,
-    full: bool = False,
-):
+def _coeff_table(params: RateParams, phis: np.ndarray, tau: float, cap: int = COEFF_CAP):
     """Recurrence coefficients a_n for a batch of frequencies.
 
     Returns (table, converged) where table has shape (N+1, len(phis)).
-    Unless ``full``, the order N is grown only until the last two terms
-    of every h(tau) series fall below SERIES_RTOL relative to the
-    running sum; the cap leaves the offending frequencies flagged
-    converged = False.
+    For tau > 0 the order N is grown only until the last two terms of
+    every h(tau) series fall below SERIES_RTOL relative to the running
+    sum; the cap leaves the offending frequencies flagged converged =
+    False.  tau = 0 fills the table to ``cap``.
     """
     m, k, sig2 = params.m, params.k, params.sigma_r**2
     phis = np.atleast_1d(np.asarray(phis, dtype=complex))
@@ -111,7 +109,7 @@ def _coeff_table(
     partial = np.ones(n_phi, dtype=complex)  # h(tau) truncated at current order
     small_streak = np.zeros(n_phi, dtype=int)
     done_at = np.full(n_phi, -1, dtype=int)
-    adaptive = tau > 0.0 and not full
+    adaptive = tau > 0.0
 
     top = cap
     for n in range(cap - 1):
@@ -150,7 +148,7 @@ def coeff_recurrence(params: RateParams, phi: complex, n_order: int) -> np.ndarr
         raise ValueError("coeff_recurrence requires order >= 2")
     if params.sigma_r == 0.0:
         raise DegenerateVolatility("series coefficients undefined for sigma_r = 0")
-    table, _ = _coeff_table(params, np.array([phi]), tau=0.0, cap=n_order, full=True)
+    table, _ = _coeff_table(params, np.array([phi]), tau=0.0, cap=n_order)
     return table[: n_order + 1, 0]
 
 
@@ -169,12 +167,9 @@ class CharFnExpansion:
 
 
 def _check_tau(params: RateParams, tau: float) -> None:
-    if params.sigma_r == 0.0:
-        raise DegenerateVolatility("series form undefined for sigma_r = 0; use the ODE path")
-    if tau >= radius_bound(params):
-        raise RadiusExceeded(
-            f"tau={tau} is not below the series convergence bound {radius_bound(params):.6f}"
-        )
+    bound = radius_bound(params)  # DegenerateVolatility at sigma_r = 0
+    if tau >= bound:
+        raise RadiusExceeded(f"tau={tau} is not below the series convergence bound {bound:.6f}")
 
 
 def _h_and_deriv(coeffs: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -187,28 +182,25 @@ def _h_and_deriv(coeffs: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
     return h, np.polynomial.polynomial.polyval(tau, deriv)
 
 
-def D_eval(params: RateParams, coeffs: np.ndarray, tau: float) -> complex:
-    """Loading on r: D = -2 h'(tau) / (sigma_r^2 h(tau))."""
-    _check_tau(params, tau)
-    h, hp = _h_and_deriv(np.asarray(coeffs), tau)
+def _d_from_h(params: RateParams, coeffs: np.ndarray, tau):
+    """D = -2 h'(tau) / (sigma_r^2 h(tau)), guarded against a vanishing h."""
+    h, hp = _h_and_deriv(coeffs, tau)
     if np.min(np.abs(h)) < 1e-12:
-        raise DenominatorVanishing(f"|h(tau)| = {np.min(np.abs(h)):.3e} < 1e-12")
+        raise DenominatorVanishing(f"|h| = {np.min(np.abs(h)):.3e} < 1e-12 inside [0, tau]")
     return -2.0 * hp / (params.sigma_r**2 * h)
 
 
-def B_eval(
-    params: RateParams,
-    asset: AssetParams,
-    phi: complex,
-    tau: float,
-    n_time_nodes: int = 64,
-) -> complex:
-    """Constant loading B(phi, tau); B(0, tau) = 0 and B(phi, 0) = 0."""
+def D_eval(params: RateParams, coeffs: np.ndarray, tau: float) -> complex:
+    """Loading on r from the series coefficients: D = -2 h'(tau) / (sigma_r^2 h(tau))."""
     _check_tau(params, tau)
+    return _d_from_h(params, np.asarray(coeffs), tau)
+
+
+def B_eval(params: RateParams, asset: AssetParams, phi: complex, tau: float) -> complex:
+    """Constant loading B(phi, tau); B(0, tau) = 0 and B(phi, 0) = 0."""
     if tau == 0.0:
         return 0.0 + 0.0j
-    b, _ = bd_series_many(params, asset.sigma, np.array([phi], dtype=complex), tau,
-                          n_time_nodes=n_time_nodes)
+    b, _ = bd_series_many(params, asset.sigma, np.array([phi], dtype=complex), tau)
     return complex(b[0])
 
 
@@ -216,10 +208,9 @@ def make_expansion(
     params: RateParams, asset: AssetParams, phi: complex, tau: float
 ) -> CharFnExpansion:
     """Assemble the full expansion record for one (phi, tau)."""
-    _check_tau(params, tau)
     table, converged = _coeff_table(params, np.array([phi], dtype=complex), tau)
     coeffs = table[:, 0]
-    d = D_eval(params, coeffs, tau) if tau > 0 else 0.0 + 0.0j
+    d = D_eval(params, coeffs, tau)
     b = B_eval(params, asset, phi, tau)
     n_order = coeffs.shape[0] - 1
     c = np.array([params.m**j / math.factorial(j) for j in range(n_order + 1)])
@@ -238,36 +229,34 @@ def bd_series_many(
     sigma: float,
     phis: np.ndarray,
     tau: float,
-    n_time_nodes: int = 64,
     max_terms: int | None = None,
     return_converged: bool = False,
 ):
     """(B, D) arrays over a batch of (possibly complex) frequencies.
 
+    For sigma_r > 0, D comes from the power series inside its radius;
     ``max_terms`` truncates the h series to its first ``max_terms``
-    coefficients, which is what the convergence study varies.  With
-    ``return_converged`` the per-frequency flag of the coefficient table
-    (False where it was cut at COEFF_CAP) is returned third.
+    coefficients, which is what the convergence study varies.  For
+    sigma_r = 0, D = -i phi G exactly and every frequency converges.
+    With ``return_converged`` the per-frequency flag of the coefficient
+    table (False where it was cut at COEFF_CAP) is returned third.
     """
-    _check_tau(params, tau)
     phis = np.asarray(phis, dtype=complex)
-    table, converged = _coeff_table(params, phis, tau)
-    if max_terms is not None:
-        table = table[:max_terms]
-    sig2 = params.sigma_r**2
-
-    def d_at(t):
-        h, hp = _h_and_deriv(table, t)
-        if np.min(np.abs(h)) < 1e-12:
-            raise DenominatorVanishing("denominator series vanishes inside [0, tau]")
-        return -2.0 * hp / (sig2 * h)
-
-    d_tau = d_at(tau)
-    x, w = gauss_legendre(n_time_nodes)
+    x, w = gauss_legendre(TIME_NODES)
     u = 0.5 * tau * (x + 1.0)
     g = loading_G(params, u)
+    if params.sigma_r == 0.0:
+        converged = np.ones(phis.shape, dtype=bool)
+        d_tau = -1j * phis * loading_G(params, tau)
+        d_nodes = np.multiply.outer(-1j * phis, g)
+    else:
+        _check_tau(params, tau)
+        table, converged = _coeff_table(params, phis, tau)
+        if max_terms is not None:
+            table = table[:max_terms]
+        d_tau = _d_from_h(params, table, tau)
+        d_nodes = _d_from_h(params, table, u)  # (n_phi, n_nodes) via polyval broadcasting
     drift = params.k * params.a + _jump_drift(params, g)  # (n_nodes,)
-    d_nodes = d_at(u)  # (n_phi, n_nodes) via polyval broadcasting
     b = 0.5 * tau * (d_nodes @ (w * drift)) - 0.5 * sigma**2 * (phis**2 + 1j * phis) * tau
     return (b, d_tau, converged) if return_converged else (b, d_tau)
 
@@ -329,17 +318,12 @@ def charfn_eval(
     z: float,
     r: float,
 ) -> complex:
-    """f(phi; tau, z, r) = exp(B + D r + i phi z) via the series.
-
-    Falls back to the fourth-order Riccati integration when sigma_r = 0,
-    where the series form is undefined.
-    """
+    """f(phi; tau, z, r) = exp(B + D r + i phi z), loadings from ``bd_series_many``."""
+    validate(asset)
+    validate(MarketState(spot=1.0, r=r, tau=tau, strike=1.0))
     if tau == 0.0:
         return complex(np.exp(1j * phi * z))
-    if params.sigma_r == 0.0:
-        b, d = bd_ode_many(params, asset.sigma, np.array([phi], dtype=complex), tau)
-    else:
-        b, d = bd_series_many(params, asset.sigma, np.array([phi], dtype=complex), tau)
+    b, d = bd_series_many(params, asset.sigma, np.array([phi], dtype=complex), tau)
     return complex(np.exp(b[0] + d[0] * r + 1j * phi * z))
 
 

@@ -155,11 +155,7 @@ def _cmd_charfn(args, sections) -> int:
     z, r, tau = float(np.log(spot)), market.r, market.tau
     phi_max = args.phi_max if args.phi_max is not None else 100.0
     phis = np.linspace(0.1, phi_max, args.grid)
-    if rate.sigma_r > 0:
-        b_s, d_s = charfn.bd_series_many(rate, asset.sigma, phis.astype(complex), tau)
-    else:
-        b_s, d_s = charfn.bd_ode_many(rate, asset.sigma, phis.astype(complex), tau,
-                                      n_steps=4000)
+    b_s, d_s = charfn.bd_series_many(rate, asset.sigma, phis.astype(complex), tau)
     b_o, d_o = charfn.bd_ode_many(rate, asset.sigma, phis.astype(complex), tau)
     f_series = np.exp(b_s + d_s * r + 1j * phis * z)
     f_oracle = np.exp(b_o + d_o * r + 1j * phis * z)

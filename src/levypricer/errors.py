@@ -36,7 +36,8 @@ class DenominatorVanishing(LevyPricerError):
 
 
 class DegenerateVolatility(LevyPricerError):
-    """sigma_r = 0 makes the series form undefined; the ODE path applies."""
+    """sigma_r = 0 makes the series form undefined; the loadings take the
+    closed form D = -i phi G there, and the RK4 integration is the oracle only."""
 
 
 class QuadratureNotConverged(LevyPricerError):

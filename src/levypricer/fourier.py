@@ -43,7 +43,6 @@ from .params import AssetParams, MarketState, PriceResult, QuadratureSpec, RateP
 
 __all__ = ["p_terms", "w_price", "w_values", "black_scholes_reference", "call_transform"]
 
-_ODE_STEPS_ENGINE = 4000  # sigma_r = 0 fallback inside the pricing engine
 _RADIANS_PER_NODE = 0.6  # n-node Gauss-Legendre holds ~1e-14 up to ~0.75 rad/node
 
 
@@ -80,23 +79,17 @@ class _CallTransform:
         self.tau = tau
         self.spec = spec
         self.max_terms = max_terms
-        self.series_mode = rate.sigma_r > 0.0
-        if self.series_mode:
-            charfn._check_tau(rate, tau)  # RadiusExceeded / DegenerateVolatility guard
         self.converged = True  # every series loading so far passed its own test
-        bm, dm = self._bd(np.array([-1j]))
+        bm, dm = self._bd(np.array([-1j]))  # raises RadiusExceeded beyond the series radius
         self.b_minus_i = complex(bm[0])
         self.d_minus_i = complex(dm[0])
         self._grids: dict[int, _Grid] = {}
 
     def _bd(self, phis: np.ndarray):
-        if self.series_mode:
-            b, d, ok = charfn.bd_series_many(self.rate, self.sigma, phis, self.tau,
-                                             max_terms=self.max_terms, return_converged=True)
-            self.converged = self.converged and bool(ok.all())
-            return b, d
-        return charfn.bd_ode_many(self.rate, self.sigma, phis, self.tau,
-                                  n_steps=_ODE_STEPS_ENGINE)
+        b, d, ok = charfn.bd_series_many(self.rate, self.sigma, phis, self.tau,
+                                         max_terms=self.max_terms, return_converged=True)
+        self.converged = self.converged and bool(ok.all())
+        return b, d
 
     def _grid(self, freq: float) -> _Grid:
         """The widest grid of panel_width / 2^j that resolves oscillation ``freq``."""

@@ -217,7 +217,7 @@ def validate(params) -> None:
         _check(v, params.lam >= 0, "lambda", "must be >= 0")
         _law_violations(params.x_law, "x_law", v)
     elif isinstance(params, AssetParams):
-        _check(v, params.sigma > 0, "sigma", "must be > 0")
+        _check(v, 0 < params.sigma < math.inf, "sigma", "must be finite and > 0")
         _check(v, params.lambda1 >= 0, "lambda1", "must be >= 0")
         _law_violations(params.y_law, "y_law", v)
         if not v:
@@ -238,9 +238,10 @@ def validate(params) -> None:
         else:
             v.append(f"weights: unknown basket selector {type(w).__name__}")
     elif isinstance(params, MarketState):
-        _check(v, all(s > 0 for s in params.spots()), "spot", "must be > 0")
-        _check(v, params.tau >= 0, "tau", "must be >= 0")
-        _check(v, params.strike > 0, "strike", "must be > 0")
+        _check(v, all(0 < s < math.inf for s in params.spots()), "spot", "must be finite and > 0")
+        _check(v, math.isfinite(params.r), "r", "must be finite")
+        _check(v, 0 <= params.tau < math.inf, "tau", "must be finite and >= 0")
+        _check(v, 0 < params.strike < math.inf, "strike", "must be finite and > 0")
     else:
         raise TypeError(f"validate does not handle {type(params).__name__}")
     if v:

@@ -108,6 +108,18 @@ def _check_x_law(x_law: JumpLaw) -> None:
         )
 
 
+def _rate_mgf(x_law: JumpLaw, d):
+    """mgf_X(d) = E[exp(d X)] for the rate factor; infinite is UnsupportedLaw."""
+    try:
+        return x_law.mgf(d)
+    except ValueError as err:  # Exponential: Re d at or above theta
+        raise UnsupportedLaw(
+            f"E[exp(D X)] is infinite for rate jumps {x_law}: Re D reaches "
+            f"{np.max(np.real(d)):.4g}, not below theta; use the Monte Carlo engine "
+            "(mc_option_price / mc_basket_price)"
+        ) from err
+
+
 def _check_y_law(y_law: JumpLaw) -> None:
     if not isinstance(y_law, (Fixed, Lognormal)):
         raise UnsupportedLaw(
@@ -165,7 +177,8 @@ def _jump_series(rate: RateParams, sigma: float, spot: float, state: MarketState
 
     def psi(u, d):  # E[exp(d sum X + i u sum ln Y)], one row per diagonal truncation
         # Without a rate jump counted only P_0 enters, and mgf_X(d) may be infinite.
-        out = _truncations(weights[0], rate.x_law.mgf(d) if tops[0] else np.ones_like(d))[x_rows]
+        x_base = _rate_mgf(rate.x_law, d) if tops[0] else np.ones_like(d)
+        out = _truncations(weights[0], x_base)[x_rows]
         for (asset, alpha), p, pick in zip(legs, weights[1:], y_rows):
             out = out * _truncations(p, _y_power(asset.y_law, alpha * u))[pick]
         return out
