@@ -186,18 +186,24 @@ def _d_from_h(params: RateParams, coeffs: np.ndarray, tau):
     """D = -2 h'(tau) / (sigma_r^2 h(tau)), guarded against a vanishing h."""
     h, hp = _h_and_deriv(coeffs, tau)
     if np.min(np.abs(h)) < 1e-12:
-        raise DenominatorVanishing(f"|h| = {np.min(np.abs(h)):.3e} < 1e-12 inside [0, tau]")
+        raise DenominatorVanishing(f"|h| = {np.min(np.abs(h)):.3e} < 1e-12 at the evaluated times")
     return -2.0 * hp / (params.sigma_r**2 * h)
 
 
 def D_eval(params: RateParams, coeffs: np.ndarray, tau: float) -> complex:
-    """Loading on r from the series coefficients: D = -2 h'(tau) / (sigma_r^2 h(tau))."""
+    """Loading on r from the series coefficients: D = -2 h'(tau) / (sigma_r^2 h(tau)).
+
+    Raises DegenerateVolatility at sigma_r = 0, where no series exists.
+    """
     _check_tau(params, tau)
     return _d_from_h(params, np.asarray(coeffs), tau)
 
 
 def B_eval(params: RateParams, asset: AssetParams, phi: complex, tau: float) -> complex:
-    """Constant loading B(phi, tau); B(0, tau) = 0 and B(phi, 0) = 0."""
+    """Constant loading B(phi, tau); B(0, tau) = 0 and B(phi, 0) = 0.
+
+    Defined at every sigma_r >= 0, like ``bd_series_many``.
+    """
     if tau == 0.0:
         return 0.0 + 0.0j
     b, _ = bd_series_many(params, asset.sigma, np.array([phi], dtype=complex), tau)
@@ -207,10 +213,12 @@ def B_eval(params: RateParams, asset: AssetParams, phi: complex, tau: float) -> 
 def make_expansion(
     params: RateParams, asset: AssetParams, phi: complex, tau: float
 ) -> CharFnExpansion:
-    """Assemble the full expansion record for one (phi, tau)."""
+    """Assemble the power-series record for one (phi, tau); raises, as
+    ``D_eval`` does, before building any coefficient."""
+    _check_tau(params, tau)
     table, converged = _coeff_table(params, np.array([phi], dtype=complex), tau)
     coeffs = table[:, 0]
-    d = D_eval(params, coeffs, tau)
+    d = _d_from_h(params, coeffs, tau)
     b = B_eval(params, asset, phi, tau)
     n_order = coeffs.shape[0] - 1
     c = np.array([params.m**j / math.factorial(j) for j in range(n_order + 1)])

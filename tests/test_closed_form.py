@@ -27,9 +27,10 @@ from levypricer import (
     option_price,
     w_price,
 )
+from levypricer import B_eval, D_eval, DegenerateVolatility, RadiusExceeded, make_expansion
 from levypricer import charfn, fourier
 from levypricer.bond import integral_of_G
-from levypricer.charfn import bd_ode_many, bd_series_many
+from levypricer.charfn import bd_ode_many, bd_series_many, radius_bound
 
 from conftest import BENCH_R0, BENCH_SPOT, BENCH_STRIKE, BENCH_TAU
 
@@ -46,10 +47,12 @@ def _flat(lam=0.0, x_law=Fixed(0.0), a=0.05):
 def test_closed_form_matches_rk4_oracle(x_law, tau):
     rate = _flat(lam=1.0, x_law=x_law)
     b_s, d_s, ok = bd_series_many(rate, 0.2, FREQS, tau, return_converged=True)
-    b_o, d_o = bd_ode_many(rate, 0.2, FREQS, tau, n_steps=20_000)
+    # Rounding, not truncation, limits the oracle here: its default 10,000
+    # steps agree to ~2e-13 in D, 20,000 steps to ~2.4e-13.
+    b_o, d_o = bd_ode_many(rate, 0.2, FREQS, tau)
     assert ok.all()
     assert np.max(np.abs(d_s - d_o)) <= 1e-11
-    # The oracle's B accumulates ~1e-13 relative rounding over its steps.
+    # The oracle's B accumulates ~3e-13 relative rounding over its steps.
     assert np.all(np.abs(b_s - b_o) <= 1e-11 * (1.0 + np.abs(b_o)))
 
 
@@ -97,3 +100,23 @@ def test_sigma_r_zero_pricers_never_call_the_oracle(monkeypatch):
     mean = z + (BENCH_R0 - 0.5 * 0.05**2) * BENCH_TAU
     expected = cmath.exp(1j * phi * mean - 0.5 * phi**2 * 0.05**2 * BENCH_TAU)
     assert abs(charfn_eval(rate, plain, phi, BENCH_TAU, z, BENCH_R0) - expected) < 1e-12
+
+
+def test_single_frequency_wrappers_at_sigma_r_zero(monkeypatch):
+    # B is a loading and takes the closed form; D_eval and make_expansion
+    # are series objects and refuse before building any coefficient.
+    rate, asset = _flat(), AssetParams(sigma=0.2, lambda1=0.0, y_law=Fixed(1.0))
+    b, _ = bd_series_many(rate, 0.2, np.array([2.0 + 0j]), 1.0)
+    assert B_eval(rate, asset, 2.0, 1.0) == b[0]
+
+    def table_built(*args, **kwargs):
+        raise AssertionError("coefficient table built before the guard")
+
+    monkeypatch.setattr(charfn, "_coeff_table", table_built)
+    with pytest.raises(DegenerateVolatility):
+        D_eval(rate, np.array([1.0, 0.0]), 1.0)
+    with pytest.raises(DegenerateVolatility):
+        make_expansion(rate, asset, 2.0, 1.0)
+    series_rate = RateParams(k=2.0, a=0.05, sigma_r=0.1, lam=0.0, x_law=Fixed(0.0))
+    with pytest.raises(RadiusExceeded):
+        make_expansion(series_rate, asset, 2.0, radius_bound(series_rate) + 0.1)
