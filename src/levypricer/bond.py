@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -42,14 +43,10 @@ __all__ = [
     "cir_bond_price",
 ]
 
-_LEGENDRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Cached Gauss-Legendre nodes/weights on [-1, 1]."""
-    if n not in _LEGENDRE_CACHE:
-        _LEGENDRE_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _LEGENDRE_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def loading_G(params: RateParams, s):
@@ -58,11 +55,15 @@ def loading_G(params: RateParams, s):
     Accepts a scalar or an array of times to maturity.  Written in terms
     of e^{-m s} so it neither overflows for large s nor loses precision
     near s = 0 (the expm1 form reproduces the -s + O(s^2) series there).
+    At m = 0 (k = sigma_r = 0) it takes its limit G = -s.
     """
     m = params.m
     s = np.asarray(s, dtype=float)
-    one = -np.expm1(-m * s)  # 1 - e^{-m s}
-    out = -2.0 * one / (2.0 * m * np.exp(-m * s) + (params.k + m) * one)
+    if m == 0.0:
+        out = -s
+    else:
+        one = -np.expm1(-m * s)  # 1 - e^{-m s}
+        out = -2.0 * one / (2.0 * m * np.exp(-m * s) + (params.k + m) * one)
     return float(out) if out.ndim == 0 else out
 
 
@@ -72,19 +73,20 @@ def integral_of_G(params: RateParams, s):
     Algebraically equal to
         -2 s/(k+m) - 4/(m^2-k^2) * log1p((m-k) (e^{-m s} - 1) / (2 m)),
     with a series branch for m -> k (sigma_r -> 0) where the log1p
-    argument vanishes.
+    argument vanishes, and the limit -s^2/2 at m = 0 (k = sigma_r = 0).
     """
     m, k = params.m, params.k
     s = np.asarray(s, dtype=float)
     em = np.expm1(-m * s)  # e^{-m s} - 1
-    lead = -2.0 * s / (m + k)
-    if m > k:
+    if m == 0.0:
+        out = -0.5 * s * s
+    elif m > k:
         # log1p(x)/(m-k) is stable: x carries the (m-k) factor exactly.
         x = (m - k) * em / (2.0 * m)
-        out = lead - 4.0 / ((m - k) * (m + k)) * np.log1p(x)
+        out = -2.0 * s / (m + k) - 4.0 / ((m - k) * (m + k)) * np.log1p(x)
     else:
         # sigma_r = 0 limit (m == k in double precision).
-        out = lead - 2.0 * em / (m * (m + k))
+        out = -2.0 * s / (m + k) - 2.0 * em / (m * (m + k))
     return float(out) if out.ndim == 0 else out
 
 

@@ -216,10 +216,10 @@ def make_expansion(
     """Assemble the power-series record for one (phi, tau); raises, as
     ``D_eval`` does, before building any coefficient."""
     _check_tau(params, tau)
-    table, converged = _coeff_table(params, np.array([phi], dtype=complex), tau)
+    phis = np.array([phi], dtype=complex)
+    table, converged = _coeff_table(params, phis, tau)
+    (b,), (d,) = _loadings(params, asset.sigma, phis, tau, table)
     coeffs = table[:, 0]
-    d = _d_from_h(params, coeffs, tau)
-    b = B_eval(params, asset, phi, tau)
     n_order = coeffs.shape[0] - 1
     c = np.array([params.m**j / math.factorial(j) for j in range(n_order + 1)])
     return CharFnExpansion(phi, tau, coeffs, c, complex(d), complex(b), n_order, bool(converged[0]))
@@ -250,23 +250,31 @@ def bd_series_many(
     table (False where it was cut at COEFF_CAP) is returned third.
     """
     phis = np.asarray(phis, dtype=complex)
-    x, w = gauss_legendre(TIME_NODES)
-    u = 0.5 * tau * (x + 1.0)
-    g = loading_G(params, u)
     if params.sigma_r == 0.0:
-        converged = np.ones(phis.shape, dtype=bool)
-        d_tau = -1j * phis * loading_G(params, tau)
-        d_nodes = np.multiply.outer(-1j * phis, g)
+        table, converged = None, np.ones(phis.shape, dtype=bool)
     else:
         _check_tau(params, tau)
         table, converged = _coeff_table(params, phis, tau)
         if max_terms is not None:
             table = table[:max_terms]
+    b, d_tau = _loadings(params, sigma, phis, tau, table)
+    return (b, d_tau, converged) if return_converged else (b, d_tau)
+
+
+def _loadings(params: RateParams, sigma: float, phis: np.ndarray, tau: float, table):
+    """(B, D(tau)) from a coefficient table, or from D = -i phi G if it is None."""
+    x, w = gauss_legendre(TIME_NODES)
+    u = 0.5 * tau * (x + 1.0)
+    g = loading_G(params, u)
+    if table is None:
+        d_tau = -1j * phis * loading_G(params, tau)
+        d_nodes = np.multiply.outer(-1j * phis, g)
+    else:
         d_tau = _d_from_h(params, table, tau)
         d_nodes = _d_from_h(params, table, u)  # (n_phi, n_nodes) via polyval broadcasting
     drift = params.k * params.a + _jump_drift(params, g)  # (n_nodes,)
     b = 0.5 * tau * (d_nodes @ (w * drift)) - 0.5 * sigma**2 * (phis**2 + 1j * phis) * tau
-    return (b, d_tau, converged) if return_converged else (b, d_tau)
+    return b, d_tau
 
 
 def bd_ode_many(

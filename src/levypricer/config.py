@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import configparser
 import io
+from dataclasses import fields
 
 from .errors import InvalidParameter
-from .laws import Exponential, Fixed, JumpLaw, Lognormal
+from .laws import JUMP_LAWS, JumpLaw
 from .params import (
     ArithmeticWeights,
     AssetParams,
@@ -68,47 +69,38 @@ def _floats(section: dict[str, str], *names: str) -> list[float]:
         raise InvalidParameter([str(err)]) from None
 
 
+def _section(sections: Sections, name: str) -> dict[str, str]:
+    if name not in sections:
+        raise InvalidParameter([f"{name}: section missing"])
+    return sections[name]
+
+
 def _law_from(section: dict[str, str], prefix: str) -> JumpLaw:
-    kind = section.get(f"{prefix}.kind", "").lower()
-    if kind == "exponential":
-        has_theta = f"{prefix}.theta" in section
-        has_mean = f"{prefix}.mean" in section
-        if has_theta and has_mean:
-            raise InvalidParameter([f"{prefix}: give theta or mean, not both"])
-        if has_mean:
-            (mean,) = _floats(section, f"{prefix}.mean")
-            return Exponential(1.0 / mean)
-        (theta,) = _floats(section, f"{prefix}.theta")
-        return Exponential(theta)
-    if kind == "fixed":
-        (c,) = _floats(section, f"{prefix}.c")
-        return Fixed(c)
-    if kind == "lognormal":
-        mu, sig = _floats(section, f"{prefix}.mu_j", f"{prefix}.sigma_j")
-        return Lognormal(mu, sig)
-    raise InvalidParameter([f"{prefix}.kind: must be exponential, fixed or lognormal"])
+    law = JUMP_LAWS.get(section.get(f"{prefix}.kind", "").lower())
+    if law is None:
+        raise InvalidParameter([f"{prefix}.kind: must be exponential, fixed or lognormal"])
+    if law.mean_key is not None and f"{prefix}.mean" in section:
+        if f"{prefix}.{law.mean_key}" in section:
+            raise InvalidParameter([f"{prefix}: give {law.mean_key} or mean, not both"])
+        (mean,) = _floats(section, f"{prefix}.mean")
+        return law(**{law.mean_key: 1.0 / mean})
+    return law(*_floats(section, *(f"{prefix}.{f.name}" for f in fields(law))))
 
 
 def rate_from_config(sections: Sections) -> RateParams:
-    sec = sections.get("rate")
-    if sec is None:
-        raise InvalidParameter(["rate: section missing"])
+    sec = _section(sections, "rate")
     k, a, sigma_r, lam = _floats(sec, "k", "a", "sigma_r", "lambda")
     return RateParams(k=k, a=a, sigma_r=sigma_r, lam=lam, x_law=_law_from(sec, "x_law"))
 
 
 def asset_from_config(sections: Sections, section: str = "asset") -> AssetParams:
-    sec = sections.get(section)
-    if sec is None:
-        raise InvalidParameter([f"{section}: section missing"])
+    sec = _section(sections, section)
     sigma, lambda1 = _floats(sec, "sigma", "lambda1")
     return AssetParams(sigma=sigma, lambda1=lambda1, y_law=_law_from(sec, "y_law"))
 
 
 def basket_from_config(sections: Sections) -> BasketParams:
-    sec = sections.get("basket")
-    if sec is None:
-        raise InvalidParameter(["basket: section missing"])
+    sec = _section(sections, "basket")
     (rho,) = _floats(sec, "rho")
     kind = sec.get("kind", "geometric").lower()
     if kind == "geometric":
@@ -132,9 +124,7 @@ def basket_from_config(sections: Sections) -> BasketParams:
 
 
 def market_from_config(sections: Sections) -> MarketState:
-    sec = sections.get("market")
-    if sec is None:
-        raise InvalidParameter(["market: section missing"])
+    sec = _section(sections, "market")
     r, tau, strike = _floats(sec, "r", "tau", "strike")
     raw_spot = sec.get("spot")
     if raw_spot is None:
@@ -145,17 +135,10 @@ def market_from_config(sections: Sections) -> MarketState:
 
 
 def _law_to(prefix: str, law: JumpLaw) -> dict[str, str]:
-    if isinstance(law, Exponential):
-        return {f"{prefix}.kind": "exponential", f"{prefix}.theta": repr(law.theta)}
-    if isinstance(law, Fixed):
-        return {f"{prefix}.kind": "fixed", f"{prefix}.c": repr(law.c)}
-    if isinstance(law, Lognormal):
-        return {
-            f"{prefix}.kind": "lognormal",
-            f"{prefix}.mu_j": repr(law.mu_j),
-            f"{prefix}.sigma_j": repr(law.sigma_j),
-        }
-    raise TypeError(f"cannot serialise law {type(law).__name__}")
+    if not isinstance(law, JumpLaw):
+        raise TypeError(f"cannot serialise law {type(law).__name__}")
+    return {f"{prefix}.kind": law.kind,
+            **{f"{prefix}.{f.name}": repr(getattr(law, f.name)) for f in fields(law)}}
 
 
 def params_to_config(
@@ -174,30 +157,22 @@ def params_to_config(
         "lambda": repr(rate.lam),
         **_law_to("x_law", rate.x_law),
     }
-    if asset is not None:
-        sections["asset"] = {
-            "sigma": repr(asset.sigma),
-            "lambda1": repr(asset.lambda1),
-            **_law_to("y_law", asset.y_law),
-        }
-    if asset2 is not None:
-        sections["asset2"] = {
-            "sigma": repr(asset2.sigma),
-            "lambda1": repr(asset2.lambda1),
-            **_law_to("y_law", asset2.y_law),
-        }
+    for name, leg in (("asset", asset), ("asset2", asset2)):
+        if leg is not None:
+            sections[name] = {
+                "sigma": repr(leg.sigma),
+                "lambda1": repr(leg.lambda1),
+                **_law_to("y_law", leg.y_law),
+            }
     if basket is not None:
-        sections["basket"] = {"rho": repr(basket.rho)}
+        sections["basket"] = {"rho": repr(basket.rho), "kind": basket.weights.kind}
         if isinstance(basket.weights, GeometricWeights):
-            sections["basket"]["kind"] = "geometric"
             sections["basket"]["alpha"] = repr(basket.weights.alpha)
         else:
-            sections["basket"]["kind"] = "arithmetic"
             sections["basket"]["weights"] = ",".join(repr(w) for w in basket.weights.weights)
     if market is not None:
-        spot = market.spot
         sections["market"] = {
-            "spot": ",".join(repr(s) for s in market.spots()) if isinstance(spot, tuple) else repr(spot),
+            "spot": ",".join(repr(s) for s in market.spots()),
             "r": repr(market.r),
             "tau": repr(market.tau),
             "strike": repr(market.strike),

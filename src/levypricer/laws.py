@@ -2,13 +2,16 @@
 
 Rate jumps X >= 0 enter additively (r -> r + sum X_i), asset jumps Y > 0
 multiplicatively (S -> S * prod Y_i).  Every law exposes its mean, the
-exponential transforms
+transforms
 
-    mgf(u)       = E[exp(u X)]
+    mgf(u)       = E[exp(u X)]                   rate jumps
     mgf_prime(u) = E[X exp(u X)]
+    log_cf(u)    = E[Y^{iu}] = E[exp(i u ln Y)]   asset jumps, complex u
+    log_step()   = |ln c| or |mu_j|              log shift of one asset jump
 
-on the domain where they are finite, and samplers driven by an explicit
-``numpy.random.Generator`` so concurrent use stays deterministic.
+where they are defined (UnsupportedLaw elsewhere), ``violations()``, its
+configuration name ``kind`` (``JUMP_LAWS``), and samplers driven by an
+explicit ``numpy.random.Generator`` so concurrent use stays deterministic.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import gammaln, roots_genlaguerre, roots_hermite
@@ -27,6 +32,7 @@ __all__ = [
     "Exponential",
     "Fixed",
     "Lognormal",
+    "JUMP_LAWS",
     "poisson_weight",
     "poisson_weights",
     "poisson_cutoff",
@@ -36,12 +42,15 @@ __all__ = [
 ]
 
 _HERMITE_NODES_DEFAULT = 64
+_NO_PRODUCT = "asset jump law %s has no n-fold product form; use the Monte Carlo engine"
 
 
 class JumpLaw(ABC):
     """Distribution of a single jump magnitude."""
 
-    kind: str
+    kind: ClassVar[str]
+    # Field a configuration file may give instead as ``mean`` = 1 / field.
+    mean_key: ClassVar[str | None] = None
 
     @abstractmethod
     def mean(self) -> float:
@@ -54,6 +63,18 @@ class JumpLaw(ABC):
     @abstractmethod
     def mgf_prime(self, u):
         """E[X exp(u X)] for u in the law's finite domain."""
+
+    @abstractmethod
+    def violations(self) -> list[str]:
+        """Broken invariants as "field: constraint" entries; empty when valid."""
+
+    def log_cf(self, u):
+        """E[Y^{iu}] = E[exp(i u ln Y)] at complex u, for a multiplicative jump."""
+        raise UnsupportedLaw(_NO_PRODUCT % type(self).__name__)
+
+    def log_step(self) -> float:
+        """Typical log shift |ln Y| of one multiplicative jump, for the panel width."""
+        raise UnsupportedLaw(_NO_PRODUCT % type(self).__name__)
 
     @abstractmethod
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -85,10 +106,14 @@ class Exponential(JumpLaw):
     """
 
     theta: float
-    kind: str = "exponential"
+    kind: ClassVar[str] = "exponential"
+    mean_key: ClassVar[str] = "theta"
 
     def mean(self) -> float:
         return 1.0 / self.theta
+
+    def violations(self):
+        return [] if self.theta > 0 else ["theta: must be > 0"]
 
     def mgf(self, u):
         u = np.asarray(u)
@@ -126,10 +151,24 @@ class Fixed(JumpLaw):
     """Deterministic jump of size ``c`` >= 0."""
 
     c: float
-    kind: str = "fixed"
+    kind: ClassVar[str] = "fixed"
 
     def mean(self) -> float:
         return self.c
+
+    def violations(self):
+        return [] if self.c >= 0 else ["c: must be >= 0"]
+
+    def _log_c(self) -> float:
+        if self.c <= 0.0:
+            raise UnsupportedLaw("multiplicative jumps require a strictly positive magnitude")
+        return math.log(self.c)
+
+    def log_cf(self, u):
+        return np.exp(1j * u * self._log_c())
+
+    def log_step(self):
+        return abs(self._log_c())
 
     def mgf(self, u):
         return np.exp(np.asarray(u) * self.c)
@@ -144,9 +183,7 @@ class Fixed(JumpLaw):
         return np.asarray(counts, dtype=float) * self.c
 
     def sample_log_product(self, counts, rng):
-        if self.c <= 0.0:
-            raise UnsupportedLaw("multiplicative jumps require a strictly positive magnitude")
-        return np.asarray(counts, dtype=float) * math.log(self.c)
+        return np.asarray(counts, dtype=float) * self._log_c()
 
 
 @dataclass(frozen=True)
@@ -154,34 +191,44 @@ class Lognormal(JumpLaw):
     """Lognormal law: ln X ~ N(mu_j, sigma_j^2), support (0, inf).
 
     The mgf E[exp(u X)] is finite only for u <= 0 and has no closed form;
-    it is evaluated by Gauss-Hermite quadrature in log space.
+    it is evaluated by Gauss-Hermite quadrature in log space, at real u only.
     """
 
     mu_j: float
     sigma_j: float
-    kind: str = "lognormal"
+    kind: ClassVar[str] = "lognormal"
 
     def mean(self) -> float:
         return math.exp(self.mu_j + 0.5 * self.sigma_j**2)
 
-    def _hermite_values(self, n_nodes=_HERMITE_NODES_DEFAULT):
-        t, w = _hermite_cache(n_nodes)
+    def violations(self):
+        return [] if self.sigma_j >= 0 else ["sigma_j: must be >= 0"]
+
+    def log_cf(self, u):
+        return np.exp(1j * u * self.mu_j - 0.5 * u * u * self.sigma_j**2)
+
+    def log_step(self):
+        return abs(self.mu_j)
+
+    def _tilted(self, u):
+        """(exp(u x), x, w) on the Hermite nodes x, for real u <= 0 only."""
+        if np.iscomplexobj(u):
+            raise UnsupportedLaw("rate jump law Lognormal has no mgf at complex arguments; "
+                                 "use the Monte Carlo engine")
+        u = np.asarray(u, dtype=float)
+        if np.any(u > 0):
+            raise ValueError("mgf of a Lognormal law is finite only for u <= 0")
+        t, w = _hermite_cache(_HERMITE_NODES_DEFAULT)
         x = np.exp(self.mu_j + math.sqrt(2.0) * self.sigma_j * t)
-        return x, w / math.sqrt(math.pi)
+        return np.exp(np.multiply.outer(u, x)), x, w / math.sqrt(math.pi)
 
     def mgf(self, u):
-        u = np.asarray(u, dtype=float)
-        if np.any(u > 0):
-            raise ValueError("mgf of a Lognormal law is finite only for u <= 0")
-        x, w = self._hermite_values()
-        return np.exp(np.multiply.outer(u, x)) @ w
+        tilt, _, w = self._tilted(u)
+        return tilt @ w
 
     def mgf_prime(self, u):
-        u = np.asarray(u, dtype=float)
-        if np.any(u > 0):
-            raise ValueError("mgf of a Lognormal law is finite only for u <= 0")
-        x, w = self._hermite_values()
-        return np.exp(np.multiply.outer(u, x)) @ (w * x)
+        tilt, x, w = self._tilted(u)
+        return tilt @ (w * x)
 
     def sample(self, size, rng):
         return rng.lognormal(self.mu_j, self.sigma_j, size)
@@ -200,6 +247,9 @@ class Lognormal(JumpLaw):
             c = counts[nz].astype(float)
             out[nz] = rng.normal(c * self.mu_j, self.sigma_j * np.sqrt(c))
         return out
+
+
+JUMP_LAWS: dict[str, type[JumpLaw]] = {law.kind: law for law in (Exponential, Fixed, Lognormal)}
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +293,13 @@ def poisson_cutoff(rate: float, tau: float, mass_tol: float = 1e-10, cap: int = 
 # Quadrature nodes for jump-sum and jump-product expectations
 # ---------------------------------------------------------------------------
 
-_laguerre_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-_hermite_cache_store: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_hermite_cache = lru_cache(maxsize=None)(roots_hermite)
 
 
-def _hermite_cache(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    if n_nodes not in _hermite_cache_store:
-        _hermite_cache_store[n_nodes] = roots_hermite(n_nodes)
-    return _hermite_cache_store[n_nodes]
+@lru_cache(maxsize=None)
+def _laguerre_cache(n_nodes: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = roots_genlaguerre(n_nodes, l - 1)
+    return x, w / math.gamma(l)
 
 
 def jump_sum_nodes(x_law: JumpLaw, l: int, n_nodes: int = 32) -> tuple[np.ndarray, np.ndarray]:
@@ -265,11 +314,7 @@ def jump_sum_nodes(x_law: JumpLaw, l: int, n_nodes: int = 32) -> tuple[np.ndarra
     if isinstance(x_law, Fixed):
         return np.array([l * x_law.c]), np.array([1.0])
     if isinstance(x_law, Exponential):
-        key = (n_nodes, l)
-        if key not in _laguerre_cache:
-            x, w = roots_genlaguerre(n_nodes, l - 1)
-            _laguerre_cache[key] = (x, w / math.gamma(l))
-        x, w = _laguerre_cache[key]
+        x, w = _laguerre_cache(n_nodes, l)
         return x / x_law.theta, w
     raise UnsupportedLaw(
         f"no jump-sum quadrature for {type(x_law).__name__}; use the Monte Carlo engine"

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .errors import InvalidParameter
-from .laws import Exponential, Fixed, JumpLaw, Lognormal
+from .laws import JumpLaw
 
 __all__ = [
     "RateParams",
@@ -99,7 +100,7 @@ class GeometricWeights:
     """Geometric basket H = S1^alpha * S2^(1-alpha), alpha in [0, 1]."""
 
     alpha: float
-    kind: str = "geometric"
+    kind: ClassVar[str] = "geometric"
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ class ArithmeticWeights:
     """Arithmetic basket H = w1 S1 + w2 S2 with nonnegative weights summing to 1."""
 
     weights: tuple[float, float]
-    kind: str = "arithmetic"
+    kind: ClassVar[str] = "arithmetic"
 
 
 @dataclass(frozen=True)
@@ -190,15 +191,10 @@ def _check(violations: list[str], ok: bool, name: str, constraint: str) -> None:
         violations.append(f"{name}: {constraint}")
 
 
-def _law_violations(law: JumpLaw, prefix: str, violations: list[str]) -> None:
-    if isinstance(law, Exponential):
-        _check(violations, law.theta > 0, f"{prefix}.theta", "must be > 0")
-    elif isinstance(law, Fixed):
-        _check(violations, law.c >= 0, f"{prefix}.c", "must be >= 0")
-    elif isinstance(law, Lognormal):
-        _check(violations, law.sigma_j >= 0, f"{prefix}.sigma_j", "must be >= 0")
-    else:
-        violations.append(f"{prefix}: unknown jump law {type(law).__name__}")
+def _law_violations(law: JumpLaw, prefix: str) -> list[str]:
+    if not isinstance(law, JumpLaw):
+        return [f"{prefix}: unknown jump law {type(law).__name__}"]
+    return [f"{prefix}.{item}" for item in law.violations()]
 
 
 def validate(params) -> None:
@@ -215,11 +211,11 @@ def validate(params) -> None:
         _check(v, params.a > 0, "a", "must be > 0")
         _check(v, params.sigma_r >= 0, "sigma_r", "must be >= 0")
         _check(v, params.lam >= 0, "lambda", "must be >= 0")
-        _law_violations(params.x_law, "x_law", v)
+        v += _law_violations(params.x_law, "x_law")
     elif isinstance(params, AssetParams):
         _check(v, 0 < params.sigma < math.inf, "sigma", "must be finite and > 0")
         _check(v, params.lambda1 >= 0, "lambda1", "must be >= 0")
-        _law_violations(params.y_law, "y_law", v)
+        v += _law_violations(params.y_law, "y_law")
         if not v:
             _check(v, math.isfinite(params.c_y), "y_law", "E[Y] - 1 must be finite")
     elif isinstance(params, BasketParams):

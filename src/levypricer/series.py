@@ -15,10 +15,10 @@ over states it replaces:
     Psi_X(D) = sum_{l<=l_top} P_l mgf_X(D)^l,
     Psi_Y(u) = sum_{n<=n_top} P_n E[Y^{iu}]^n,
 
-E[Y^{iu}] = c^{iu} (Fixed) or exp(i u mu_j - u^2 sigma_j^2 / 2)
-(Lognormal).  Rows of j-truncated factors give the diagonal partial sums
-of the convergence report from the same panels.  The jumps widen the
-integrand's log spread by n_top |ln c| or n_top |mu_j|.
+E[Y^{iu}] from the asset law (``JumpLaw.log_cf``).  Rows of j-truncated
+factors give the diagonal partial sums of the convergence report from the
+same panels.  The jumps widen the integrand's log spread by n_top times
+the law's ``log_step``.
 
 Two assets: the same expansion with a third Poisson stream, where the
 geometric basket H = S1^alpha S2^(1-alpha) reduces exactly to the
@@ -44,10 +44,8 @@ from .errors import UnsupportedBasket, UnsupportedLaw
 from .fourier import JumpFold, w_values
 # jump_sum_nodes, product_nodes: unused, but perfbench/spans.py wraps them here.
 from .laws import (  # noqa: F401
-    Exponential,
     Fixed,
     JumpLaw,
-    Lognormal,
     jump_sum_nodes,
     poisson_cutoff,
     poisson_weights,
@@ -100,14 +98,6 @@ def _diffs(partials: list[float]) -> list[float]:
     return [abs(p - q) for p, q in zip(partials, [0.0] + partials[:-1])]
 
 
-def _check_x_law(x_law: JumpLaw) -> None:
-    if not isinstance(x_law, (Exponential, Fixed)):
-        raise UnsupportedLaw(
-            f"rate jump law {type(x_law).__name__} has no mgf at complex arguments; "
-            "use the Monte Carlo engine"
-        )
-
-
 def _rate_mgf(x_law: JumpLaw, d):
     """mgf_X(d) = E[exp(d X)] for the rate factor; infinite is UnsupportedLaw."""
     try:
@@ -120,26 +110,12 @@ def _rate_mgf(x_law: JumpLaw, d):
         ) from err
 
 
-def _check_y_law(y_law: JumpLaw) -> None:
-    if not isinstance(y_law, (Fixed, Lognormal)):
-        raise UnsupportedLaw(
-            f"asset jump law {type(y_law).__name__} has no n-fold product form; "
-            "use the Monte Carlo engine"
-        )
-    if isinstance(y_law, Fixed) and y_law.c <= 0.0:
-        raise UnsupportedLaw("multiplicative jumps require a strictly positive magnitude")
-
-
-def _y_power(y_law: JumpLaw, u):
-    """E[Y^{iu}] = E[exp(i u ln Y)] for complex u."""
-    if isinstance(y_law, Fixed):
-        return np.exp(1j * u * math.log(y_law.c))
-    return np.exp(1j * u * y_law.mu_j - 0.5 * u * u * y_law.sigma_j**2)
-
-
-def _log_step(y_law: JumpLaw) -> float:
-    """Log shift of one asset jump: |ln c| or |mu_j|."""
-    return abs(math.log(y_law.c) if isinstance(y_law, Fixed) else y_law.mu_j)
+def _check_laws(rate: RateParams, assets: list[AssetParams]) -> None:
+    """Raise UnsupportedLaw before any work for a law the fold cannot read."""
+    if rate.lam > 0:  # an empty complex probe asks the mgf for its domain only
+        rate.x_law.mgf(np.empty(0, dtype=complex))
+    for asset in assets:
+        asset.y_law.log_step()
 
 
 def _truncations(weights: np.ndarray, base) -> np.ndarray:
@@ -180,11 +156,11 @@ def _jump_series(rate: RateParams, sigma: float, spot: float, state: MarketState
         x_base = _rate_mgf(rate.x_law, d) if tops[0] else np.ones_like(d)
         out = _truncations(weights[0], x_base)[x_rows]
         for (asset, alpha), p, pick in zip(legs, weights[1:], y_rows):
-            out = out * _truncations(p, _y_power(asset.y_law, alpha * u))[pick]
+            out = out * _truncations(p, asset.y_law.log_cf(alpha * u))[pick]
         return out
 
     comp = math.exp(-tau * sum(alpha * a.lambda1 * a.c_y for a, alpha in legs))
-    spread = sum(alpha * top * _log_step(a.y_law) for (a, alpha), top in zip(legs, tops[1:]))
+    spread = sum(alpha * top * a.y_law.log_step() for (a, alpha), top in zip(legs, tops[1:]))
     w, tail, loadings_ok = w_values(rate, sigma, tau, state.strike, np.array([spot * comp]),
                                     np.array([state.r]), spec, None, JumpFold(psi, spread))
 
@@ -220,8 +196,7 @@ def f_single(
     """
     validate(asset)
     validate(state)
-    _check_x_law(rate.x_law)
-    _check_y_law(asset.y_law)
+    _check_laws(rate, [asset])
     (spot,) = state.spots()
     return _jump_series(rate, asset.sigma, spot, state, [(asset, 1.0)],
                         (trunc.l_max, trunc.n_max), trunc, spec, _force_tops)
@@ -258,7 +233,7 @@ def merton_reference(
     variance; the compensator e^{-lambda1 C_Y tau} keeps the asset a
     martingale.  Oracle for the degenerate flat-rate case.
     """
-    _check_y_law(y_law)
+    y_law.log_step()  # UnsupportedLaw where Y has no n-fold product
     if tau == 0.0:
         return max(spot - strike, 0.0)
     c_y = y_law.mean() - 1.0
@@ -317,9 +292,7 @@ def g_basket(
         raise UnsupportedBasket(
             "arithmetic baskets are priced by Monte Carlo only; use mc_basket_price"
         )
-    _check_x_law(rate.x_law)
-    _check_y_law(basket.asset1.y_law)
-    _check_y_law(basket.asset2.y_law)
+    _check_laws(rate, [basket.asset1, basket.asset2])
     if len(state2.spots()) != 2:
         raise UnsupportedBasket("basket pricing needs a two-spot MarketState")
     s1, s2 = state2.spots()

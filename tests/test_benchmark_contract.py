@@ -10,6 +10,7 @@ import importlib
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from levypricer import option_price
@@ -34,6 +35,15 @@ def test_wrapped_names_are_bound(harness):
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _, _ in spans.entry_points(lp) if attr not in vars(owner)]
     assert not missing
+
+
+def test_coefficient_table_is_patchable(harness, bench_rate):
+    # selfcheck.py swaps charfn._coeff_table for a recorder that unpacks
+    # (table, converged), and prints charfn.COEFF_CAP.
+    lp, _, _ = harness
+    assert "_coeff_table" in vars(lp.charfn) and type(lp.charfn.COEFF_CAP) is int
+    table, converged = lp.charfn._coeff_table(bench_rate, np.array([1.0 + 0j]), 1.0)
+    assert table.shape[1] == converged.shape[0] == 1
 
 
 def test_transform_cache_is_inspectable(harness):

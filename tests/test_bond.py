@@ -137,6 +137,17 @@ class TestBondPrice:
         assert loadings.m == p.m
         assert loadings.G(1.0) == loading_G(p, 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_mean_reversion_no_volatility(self):
+        # k = sigma_r = 0 gives m = 0, where both closed forms are 0/0:
+        # the limits G = -s and int G = -s^2/2 leave b = exp(-r s).
+        p = RateParams(k=0.0, a=0.03, sigma_r=0.0, lam=0.0, x_law=Fixed(0.0))
+        s = np.array([0.0, 0.5, 2.0])
+        assert np.array_equal(loading_G(p, s), -s)
+        assert np.array_equal(integral_of_G(p, s), -0.5 * s * s)
+        for r in (0.0, 0.03, 0.2):
+            assert abs(bond_price(p, r, 1.5) - math.exp(-r * 1.5)) <= 1e-14
+
     def test_fixed_jump_law_closed_form(self):
         # Fixed(c): jump integral is e^{G c} - 1 in closed form; compare
         # against dense quadrature of the same integrand.

@@ -28,6 +28,7 @@ from levypricer import (
     riccati_oracle,
 )
 from levypricer.bond import gauss_legendre, loading_G
+from levypricer import charfn
 from levypricer.charfn import D_eval, B_eval, bd_ode_many, bd_series_many
 
 from conftest import BENCH_R0, BENCH_SPOT, BENCH_TAU
@@ -110,6 +111,20 @@ class TestCoefficients:
         assert exp_rec.N + 1 == exp_rec.coeffs.shape[0]
         # c_j = m^j / j!
         assert exp_rec.c[3] == pytest.approx(p.m**3 / 6.0, rel=1e-14)
+
+    def test_expansion_builds_one_table(self, monkeypatch):
+        p = _rate()
+        asset = AssetParams(sigma=0.05, lambda1=1.0, y_law=Fixed(1.01))
+        table = charfn._coeff_table
+        calls = []
+        monkeypatch.setattr(charfn, "_coeff_table",
+                            lambda *args, **kw: calls.append(1) or table(*args, **kw))
+        for phi in (2.0, 0.5 - 1j):
+            calls.clear()
+            rec = make_expansion(p, asset, phi, 1.0)
+            assert len(calls) == 1
+            assert rec.B == B_eval(p, asset, phi, 1.0)
+            assert rec.D == D_eval(p, rec.coeffs, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +224,17 @@ class TestCharFnProperties:
         p = _rate(sigma_r=0.0, lam=0.0, a=BENCH_R0)
         asset = AssetParams(sigma=0.05, lambda1=0.0, y_law=Fixed(1.0))
         # Flat rate: f is exactly the lognormal characteristic function.
+        phi, tau, z, r = 2.0, 1.0, math.log(BENCH_SPOT), BENCH_R0
+        f = charfn_eval(p, asset, phi, tau, z, r)
+        mean = z + (r - 0.5 * asset.sigma**2) * tau
+        expected = cmath.exp(1j * phi * mean - 0.5 * phi**2 * asset.sigma**2 * tau)
+        assert abs(f - expected) < 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_mean_reversion_no_volatility(self):
+        # k = sigma_r = 0 holds r fixed: f is the lognormal one at drift r.
+        p = _rate(k=0.0, sigma_r=0.0, lam=0.0, a=BENCH_R0)
+        asset = AssetParams(sigma=0.05, lambda1=0.0, y_law=Fixed(1.0))
         phi, tau, z, r = 2.0, 1.0, math.log(BENCH_SPOT), BENCH_R0
         f = charfn_eval(p, asset, phi, tau, z, r)
         mean = z + (r - 0.5 * asset.sigma**2) * tau

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from levypricer import Exponential, Fixed, Lognormal, InvalidParameter
+from levypricer import Exponential, Fixed, Lognormal, InvalidParameter, RateParams
 from levypricer.cli import run
 from levypricer.config import (
     apply_overrides,
@@ -114,6 +114,25 @@ class TestConfig:
         assert asset_from_config(reloaded) == asset
         assert basket_from_config(reloaded) == basket
         assert market_from_config(reloaded) == market
+
+    @pytest.mark.parametrize("law", [Exponential(250.0), Fixed(0.002), Lognormal(-7.0, 0.3)])
+    def test_every_law_round_trips(self, law):
+        rate = RateParams(k=2.0, a=0.05, sigma_r=0.05, lam=1.0, x_law=law)
+        sections = params_to_config(rate, None, None)
+        assert sections["rate"]["x_law.kind"] == law.kind
+        assert rate_from_config(sections) == rate
+
+    def test_law_key_missing_reported(self, cfg_path):
+        sections = load_config(cfg_path)
+        sections["asset"]["y_law.kind"] = "lognormal"
+        sections["asset"]["y_law.mu_j"] = "-0.01"
+        with pytest.raises(InvalidParameter) as err:
+            asset_from_config(sections)
+        assert err.value.violations == ["y_law.sigma_j: missing"]
+        sections["asset"]["y_law.kind"] = "gamma"
+        with pytest.raises(InvalidParameter) as err:
+            asset_from_config(sections)
+        assert err.value.violations == ["y_law.kind: must be exponential, fixed or lognormal"]
 
     def test_two_spot_market(self, cfg_path):
         sections = apply_overrides(load_config(cfg_path), ["market.spot=110, 95"])

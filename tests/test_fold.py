@@ -142,5 +142,5 @@ def test_rate_law_unused_without_rate_jumps(bench_asset, bench_state):
     # at the loadings D must not matter.
     prices = [option_price(RateParams(k=2.0, a=0.05, sigma_r=0.05, lam=0.0, x_law=law),
                            bench_asset, bench_state).value
-              for law in (Exponential(1000.0), Exponential(0.3))]
-    assert prices[0] == prices[1]
+              for law in (Exponential(1000.0), Exponential(0.3), Lognormal(0.0, 0.1))]
+    assert prices[0] == prices[1] == prices[2]

@@ -51,6 +51,34 @@ class TestTransforms:
         brute = trapezoid(np.exp(u * x) * pdf, x)
         assert law.mgf(u) == pytest.approx(brute, rel=1e-6)
 
+    @pytest.mark.parametrize("method", ["mgf", "mgf_prime"])
+    def test_lognormal_mgf_rejects_complex(self, method):
+        # A real cast would drop the imaginary part and return the value at -1.
+        with pytest.raises(UnsupportedLaw):
+            getattr(Lognormal(0.0, 0.1), method)(np.array([-1.0 + 1.0j]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(law=st.one_of(st.builds(Fixed, st.floats(0.5, 2.0)),
+                         st.builds(Lognormal, st.floats(-0.5, 0.5), st.floats(0.0, 0.5))),
+           u=st.floats(-50.0, 50.0))
+    def test_log_cf_property(self, law, u):
+        assert law.log_cf(0.0) == 1.0
+        assert law.log_cf(-u) == pytest.approx(np.conj(law.log_cf(u)), rel=1e-15, abs=1e-300)
+        # E[Y^{i(-i)}] = E[Y]: the fold's asset factor at -i is the compensator's mean.
+        assert law.log_cf(-1j) == pytest.approx(law.mean(), rel=1e-12)
+
+    def test_exponential_has_no_log_cf(self):
+        for method in (lambda law: law.log_cf(1.0), lambda law: law.log_step()):
+            with pytest.raises(UnsupportedLaw, match="no n-fold product form"):
+                method(Exponential(5.0))
+        with pytest.raises(UnsupportedLaw, match="strictly positive"):
+            Fixed(0.0).log_cf(1.0)
+
+    def test_kind_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            Exponential(1.0, "fixed")
+        assert [law.kind for law in ALL_LAWS] == ["exponential", "fixed", "lognormal"]
+
     @settings(max_examples=50, deadline=None)
     @given(theta=st.floats(1.0, 1e4), u_frac=st.floats(-5.0, 0.99))
     def test_exponential_mgf_property(self, theta, u_frac):

@@ -10,6 +10,7 @@ from levypricer import (
     Fixed,
     GeometricWeights,
     InvalidParameter,
+    Lognormal,
     MarketState,
     RateParams,
     validate,
@@ -75,6 +76,25 @@ class TestValidate:
             validate(BasketParams(asset1=bad, asset2=good, rho=0.0,
                                   weights=GeometricWeights(0.5)))
         assert any(v.startswith("asset1.sigma") for v in err.value.violations)
+
+    @pytest.mark.parametrize("law,entry", [
+        (Exponential(-1.0), "y_law.theta: must be > 0"),
+        (Fixed(-1.0), "y_law.c: must be >= 0"),
+        (Lognormal(0.0, -0.1), "y_law.sigma_j: must be >= 0"),
+        ("fixed", "y_law: unknown jump law str"),
+    ])
+    def test_law_violations_prefixed(self, law, entry):
+        with pytest.raises(InvalidParameter) as err:
+            validate(AssetParams(sigma=0.2, lambda1=1.0, y_law=law))
+        assert err.value.violations == [entry]
+
+    def test_weights_kind_is_not_a_constructor_argument(self):
+        # A kind naming the other basket would be priced by one engine and
+        # dispatched on by the other.
+        with pytest.raises(TypeError):
+            GeometricWeights(0.6, "arithmetic")
+        assert (GeometricWeights(0.6).kind, ArithmeticWeights((0.6, 0.4)).kind) == \
+            ("geometric", "arithmetic")
 
     def test_m_is_riccati_discriminant(self):
         p = _rate(k=2.0, sigma_r=0.05)

@@ -18,6 +18,7 @@ from levypricer import (
     SimSpec,
     UnsupportedBasket,
     UnsupportedLaw,
+    black_scholes_reference,
     bond_price,
     convergence_study,
     f_single,
@@ -233,6 +234,16 @@ class TestBasket:
 
 
 class TestAnalyticBoundary:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_mean_reversion_no_volatility(self, no_jump_asset, bench_state):
+        # k = sigma_r = 0 with no rate jumps holds r fixed: Black-Scholes at r.
+        rate = RateParams(k=0.0, a=0.03, sigma_r=0.0, lam=0.0, x_law=Fixed(0.0))
+        ref = black_scholes_reference(BENCH_SPOT, BENCH_STRIKE, no_jump_asset.sigma,
+                                      BENCH_R0, BENCH_TAU)
+        res = option_price(rate, no_jump_asset, bench_state)
+        assert res.converged
+        assert abs(res.value - ref) < 1e-8
+
     def test_invalid_inputs_rejected(self, bench_rate, bench_asset):
         from levypricer import InvalidParameter, p_terms
 
