@@ -37,7 +37,9 @@ zero of G's denominator,
 which requires sigma_r > 0.  At sigma_r = 0 the Riccati equation is
 linear, D' = i phi - k D, and D = -i phi G exactly (G' = -1 - k G), with
 no radius.  ``bd_series_many`` takes that closed form there and the
-series otherwise; both feed the same Gauss-Legendre rule for B.  A
+series otherwise; both feed the same Gauss-Legendre rule for B, the series
+through one real matmul of a Vandermonde matrix in t / tau by the terms
+a_n tau^n (``_h_and_deriv``).  A
 classical fourth-order integration of the system (``bd_ode_many``) is
 the independent oracle only; no pricing path calls it.
 """
@@ -172,14 +174,20 @@ def _check_tau(params: RateParams, tau: float) -> None:
         raise RadiusExceeded(f"tau={tau} is not below the series convergence bound {bound:.6f}")
 
 
-def _h_and_deriv(coeffs: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
-    """h(tau) and h'(tau) for coefficient table (N+1,) or (N+1, n_phi)."""
-    h = np.polynomial.polynomial.polyval(tau, coeffs)
-    if coeffs.shape[0] == 1:
-        return h, np.zeros_like(h)
+def _h_and_deriv(coeffs: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """h(t), h'(t) for table (N+1,) or (N+1, n_phi), shaped coeffs.shape[1:] + t.shape:
+    rows x^n and n x^(n-1) in x = t / s, s = max t, times the terms a_n s^n
+    (which ``_coeff_table`` forms up to tau), in one real matmul."""
+    t = np.asarray(t, dtype=float)
+    s = float(t.max()) or 1.0
     n = np.arange(coeffs.shape[0])
-    deriv = coeffs[1:] * n[1:, None] if coeffs.ndim > 1 else coeffs[1:] * n[1:]
-    return h, np.polynomial.polynomial.polyval(tau, deriv)
+    powers = (t.reshape(-1, 1) / s) ** n
+    slopes = np.zeros_like(powers)
+    slopes[:, 1:] = n[1:] * powers[:, :-1]
+    terms = np.asarray(coeffs, dtype=complex).reshape(n.size, -1) * s ** n[:, None]
+    hv = (np.vstack([powers, slopes]) @ terms.view(float)).view(complex)
+    shape = coeffs.shape[1:] + t.shape
+    return hv[: t.size].T.reshape(shape)[()], (hv[t.size :].T / s).reshape(shape)[()]
 
 
 def _d_from_h(params: RateParams, coeffs: np.ndarray, tau):
@@ -271,7 +279,7 @@ def _loadings(params: RateParams, sigma: float, phis: np.ndarray, tau: float, ta
         d_nodes = np.multiply.outer(-1j * phis, g)
     else:
         d_tau = _d_from_h(params, table, tau)
-        d_nodes = _d_from_h(params, table, u)  # (n_phi, n_nodes) via polyval broadcasting
+        d_nodes = _d_from_h(params, table, u)  # (n_phi, n_nodes)
     drift = params.k * params.a + _jump_drift(params, g)  # (n_nodes,)
     b = 0.5 * tau * (d_nodes @ (w * drift)) - 0.5 * sigma**2 * (phis**2 + 1j * phis) * tau
     return b, d_tau
@@ -335,6 +343,7 @@ def charfn_eval(
     r: float,
 ) -> complex:
     """f(phi; tau, z, r) = exp(B + D r + i phi z), loadings from ``bd_series_many``."""
+    validate(params)
     validate(asset)
     validate(MarketState(spot=1.0, r=r, tau=tau, strike=1.0))
     if tau == 0.0:

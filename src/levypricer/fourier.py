@@ -22,13 +22,16 @@ Poisson series is truncated).  The integrand oscillates with period
 the radians per node within what the nodes resolve to machine precision,
 rounded down to panel_width / 2^j so a transform holds one grid per
 halving.  The (B, D) loadings depend only on (rate params, sigma, tau),
-so one cached transform serves every strike; one whose series loadings
-were cut at ``charfn.COEFF_CAP`` reports itself not converged.
+so one cached transform serves every strike.  A grid fills them on demand,
+in fixed chunks of panels [0, 8), [8, 16), [16, 32) and [32, n), and a
+quote's ``converged`` covers what it read (phi = -i and the chunks its
+loop reached): False where that series was cut at ``charfn.COEFF_CAP``.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,6 +47,7 @@ from .params import AssetParams, MarketState, PriceResult, QuadratureSpec, RateP
 __all__ = ["p_terms", "w_price", "w_values", "black_scholes_reference", "call_transform"]
 
 _RADIANS_PER_NODE = 0.6  # n-node Gauss-Legendre holds ~1e-14 up to ~0.75 rad/node
+_CHUNK_STARTS = (0, 8, 16, 32)  # first panel of each loadings chunk
 
 
 @dataclass(frozen=True)
@@ -57,16 +61,15 @@ class JumpFold:
 
 @dataclass
 class _Grid:
-    """Panelised phi grid with the state-independent loadings on it."""
+    """Panelised phi grid with the state-independent loadings on it, filled
+    chunk by chunk in panel order, one converged flag per filled chunk."""
 
     width: float
-    n_panels: int
     phis: np.ndarray  # (n_panels, nodes)
-    weights: np.ndarray
-    b2: np.ndarray
-    d2: np.ndarray
-    b1: np.ndarray  # at phi - i
-    d1: np.ndarray
+    weights: np.ndarray  # (nodes,), the same on every panel
+    bounds: list[int]  # chunk c covers panels [bounds[c], bounds[c + 1])
+    bd: np.ndarray  # (4, n_panels, nodes): B and D at phi, then at phi - i
+    chunks_ok: list[bool]
 
 
 class _CallTransform:
@@ -79,16 +82,19 @@ class _CallTransform:
         self.tau = tau
         self.spec = spec
         self.max_terms = max_terms
-        self.converged = True  # every series loading so far passed its own test
+        self._lock = threading.Lock()  # serialises chunk fills, and with them _cut
+        self._cut = False
         bm, dm = self._bd(np.array([-1j]))  # raises RadiusExceeded beyond the series radius
         self.b_minus_i = complex(bm[0])
         self.d_minus_i = complex(dm[0])
+        self.minus_i_converged = not self._cut
         self._grids: dict[int, _Grid] = {}
 
     def _bd(self, phis: np.ndarray):
+        """(B, D) at ``phis``; sets ``_cut`` if cut at the cap (an override need not)."""
         b, d, ok = charfn.bd_series_many(self.rate, self.sigma, phis, self.tau,
                                          max_terms=self.max_terms, return_converged=True)
-        self.converged = self.converged and bool(ok.all())
+        self._cut = self._cut or not ok.all()
         return b, d
 
     def _grid(self, freq: float) -> _Grid:
@@ -100,27 +106,28 @@ class _CallTransform:
             width = spec.panel_width / 2**halvings
             n_panels = int(math.ceil(spec.phi_max_cap / width))
             x, w = gauss_legendre(spec.nodes_per_panel)
-            offsets = width * np.arange(n_panels)[:, None]
-            phis = offsets + 0.5 * width * (x + 1.0)[None, :]
-            flat = phis.ravel().astype(complex)
-            b2, d2 = self._bd(flat)
-            b1, d1 = self._bd(flat - 1j)
-            shape = phis.shape
-            self._grids[halvings] = _Grid(
-                width=width,
-                n_panels=n_panels,
-                phis=phis,
-                weights=np.broadcast_to(0.5 * width * w, shape).copy(),
-                b2=b2.reshape(shape),
-                d2=d2.reshape(shape),
-                b1=b1.reshape(shape),
-                d1=d1.reshape(shape),
-            )
+            phis = width * np.arange(n_panels)[:, None] + 0.5 * width * (x + 1.0)[None, :]
+            bounds = [start for start in _CHUNK_STARTS if start < n_panels] + [n_panels]
+            self._grids[halvings] = _Grid(width, phis, 0.5 * width * w, bounds,
+                                          np.empty((4,) + phis.shape, dtype=complex), [])
         return self._grids[halvings]
 
+    def _fill(self, grid: _Grid, index: int, start: int, stop: int) -> bool:
+        """Build chunk ``index`` (panels [start, stop)) once; whether it converged."""
+        with self._lock:
+            if index == len(grid.chunks_ok):
+                flat = grid.phis[start:stop].ravel().astype(complex)
+                self._cut = False
+                for row, phis in ((0, flat), (2, flat - 1j)):
+                    grid.bd[row : row + 2, start:stop] = np.reshape(self._bd(phis),
+                                                                   (2, stop - start, -1))
+                grid.chunks_ok.append(not self._cut)
+        return grid.chunks_ok[index]
+
     def invert(self, spots, rs, strike, fold: JumpFold | None = None):
-        """(forward, mass, P1, P2, tail) per state, or per row of ``fold`` for
-        one jump-free state; W = forward * P1 - strike * mass * P2."""
+        """(forward, mass, P1, P2, tail, converged) per state, or per row of
+        ``fold`` for one jump-free state; W = forward * P1 - strike * mass * P2,
+        and ``converged`` covers the loadings this inversion read."""
         z = np.log(np.atleast_1d(np.asarray(spots, dtype=float)))
         rs = np.atleast_1d(np.asarray(rs, dtype=float))
         log_k = math.log(strike)
@@ -135,32 +142,36 @@ class _CallTransform:
             psi_fwd = fold.psi(np.array(-1j), np.array(self.d_minus_i))
             mass = fold.psi(np.array(0j), np.array(0j)).real
             forward = (forward * psi_fwd).real
-            psi2 = fold.psi(grid.phis, grid.d2) / mass[:, None, None]
-            psi1 = fold.psi(grid.phis - 1j, grid.d1) / psi_fwd[:, None, None]
         panel_tol = self.spec.tail_tol * grid.width / self.spec.panel_width
 
         p1 = p2 = 0.5
         tail = math.inf
         calm_panels = 0
-        for panel in range(grid.n_panels):
-            phis = grid.phis[panel]
-            phase = np.exp(-1j * phis * log_k) / (1j * phis)
-            q2 = grid.weights[panel] * np.exp(grid.b2[panel]) * phase
-            q1 = grid.weights[panel] * np.exp(grid.b1[panel] - self.b_minus_i) * phase
-            # States enter only through exp(D r + i phi z).
-            e2 = np.exp(np.outer(rs, grid.d2[panel]) + np.outer(z, 1j * phis))
-            e1 = np.exp(np.outer(rs, grid.d1[panel] - self.d_minus_i) + np.outer(z, 1j * phis))
+        converged = self.minus_i_converged
+        for index, (start, stop) in enumerate(zip(grid.bounds, grid.bounds[1:])):
+            converged = self._fill(grid, index, start, stop) and converged
+            b2, d2, b1, d1 = grid.bd[:, start:stop]
             if fold is not None:
-                e2 = e2 * psi2[:, panel]
-                e1 = e1 * psi1[:, panel]
-            c2 = (e2 @ q2).real / math.pi
-            c1 = (e1 @ q1).real / math.pi
-            p2 = p2 + c2
-            p1 = p1 + c1
-            tail = max(float(np.max(np.abs(c1))), float(np.max(np.abs(c2))))
-            calm_panels = calm_panels + 1 if tail < panel_tol else 0
-            if calm_panels >= 2:
-                return forward, mass, p1, p2, tail
+                psi2 = fold.psi(grid.phis[start:stop], d2) / mass[:, None, None]
+                psi1 = fold.psi(grid.phis[start:stop] - 1j, d1) / psi_fwd[:, None, None]
+            for j, phis in enumerate(grid.phis[start:stop]):
+                phase = np.exp(-1j * phis * log_k) / (1j * phis)
+                q2 = grid.weights * np.exp(b2[j]) * phase
+                q1 = grid.weights * np.exp(b1[j] - self.b_minus_i) * phase
+                # States enter only through exp(D r + i phi z).
+                e2 = np.exp(np.outer(rs, d2[j]) + np.outer(z, 1j * phis))
+                e1 = np.exp(np.outer(rs, d1[j] - self.d_minus_i) + np.outer(z, 1j * phis))
+                if fold is not None:
+                    e2 = e2 * psi2[:, j]
+                    e1 = e1 * psi1[:, j]
+                c2 = (e2 @ q2).real / math.pi
+                c1 = (e1 @ q1).real / math.pi
+                p2 = p2 + c2
+                p1 = p1 + c1
+                tail = max(float(np.max(np.abs(c1))), float(np.max(np.abs(c2))))
+                calm_panels = calm_panels + 1 if tail < panel_tol else 0
+                if calm_panels >= 2:
+                    return forward, mass, p1, p2, tail, converged
         raise TailNotDecayed(
             f"panel contribution {tail:.3e} still above {panel_tol:.1e} "
             f"at phi = {self.spec.phi_max_cap}"
@@ -191,9 +202,9 @@ def w_values(
 
     With ``fold``, one jump-free state and one value per truncation row of
     the folded jump expectation.  Returns (values, quadrature error proxy
-    = last panel contribution, whether the loadings converged).  Values
-    are floored at zero: far out of the money the inversion can come back
-    a few ulps negative.
+    = last panel contribution, whether the loadings read converged).
+    Values are floored at zero: far out of the money the inversion can
+    come back a few ulps negative.
     """
     if tau == 0.0:
         w = np.maximum(np.atleast_1d(np.asarray(spots, dtype=float)) - strike, 0.0)
@@ -201,8 +212,8 @@ def w_values(
             w = w * fold.psi(np.array(0j), np.array(0j)).real
         return w, 0.0, True
     tr = call_transform(rate, sigma, tau, spec, max_terms)
-    fwd, mass, p1, p2, tail = tr.invert(spots, rs, strike, fold)
-    return np.maximum(fwd * p1 - strike * mass * p2, 0.0), tail, tr.converged
+    fwd, mass, p1, p2, tail, converged = tr.invert(spots, rs, strike, fold)
+    return np.maximum(fwd * p1 - strike * mass * p2, 0.0), tail, converged
 
 
 def p_terms(
@@ -216,11 +227,12 @@ def p_terms(
     Both lie in [0, 1] up to quadrature noise; the f(-i) forward factor
     is applied by w_price, not here.
     """
+    validate(rate)
     validate(asset)
     validate(state)
     (spot,) = state.spots()
     tr = call_transform(rate, asset.sigma, state.tau, spec, None)
-    _, _, p1, p2, _ = tr.invert(np.array([spot]), np.array([state.r]), state.strike)
+    _, _, p1, p2, _, _ = tr.invert(np.array([spot]), np.array([state.r]), state.strike)
     return float(p1[0]), float(p2[0])
 
 
@@ -231,6 +243,7 @@ def w_price(
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> PriceResult:
     """Forward-measure call value W = f(-i) P1 - K P2 of the auxiliary model."""
+    validate(rate)
     validate(asset)
     validate(state)
     (spot,) = state.spots()

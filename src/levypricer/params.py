@@ -37,7 +37,7 @@ class RateParams:
     Attributes
     ==========
     k:
-        Mean-reversion speed (1/time), k > 0.
+        Mean-reversion speed (1/time), k >= 0.
     a:
         Long-run rate level, a > 0.
     sigma_r:
@@ -207,7 +207,7 @@ def validate(params) -> None:
     """
     v: list[str] = []
     if isinstance(params, RateParams):
-        _check(v, params.k > 0, "k", "must be > 0")
+        _check(v, params.k >= 0, "k", "must be >= 0")
         _check(v, params.a > 0, "a", "must be > 0")
         _check(v, params.sigma_r >= 0, "sigma_r", "must be >= 0")
         _check(v, params.lam >= 0, "lambda", "must be >= 0")

@@ -111,11 +111,12 @@ def _rate_mgf(x_law: JumpLaw, d):
 
 
 def _check_laws(rate: RateParams, assets: list[AssetParams]) -> None:
-    """Raise UnsupportedLaw before any work for a law the fold cannot read."""
+    """Raise UnsupportedLaw before any work for a law whose jumps arrive and the fold can't read."""
     if rate.lam > 0:  # an empty complex probe asks the mgf for its domain only
         rate.x_law.mgf(np.empty(0, dtype=complex))
     for asset in assets:
-        asset.y_law.log_step()
+        if asset.lambda1 > 0:
+            asset.y_law.log_step()
 
 
 def _truncations(weights: np.ndarray, base) -> np.ndarray:
@@ -152,15 +153,17 @@ def _jump_series(rate: RateParams, sigma: float, spot: float, state: MarketState
     x_rows, *y_rows = [np.minimum(rows, top) for top in tops]
 
     def psi(u, d):  # E[exp(d sum X + i u sum ln Y)], one row per diagonal truncation
-        # Without a rate jump counted only P_0 enters, and mgf_X(d) may be infinite.
+        # A stream with no jump counted is P_0 alone; its law may have no mgf_X(d) or E[Y^{iu}].
         x_base = _rate_mgf(rate.x_law, d) if tops[0] else np.ones_like(d)
         out = _truncations(weights[0], x_base)[x_rows]
-        for (asset, alpha), p, pick in zip(legs, weights[1:], y_rows):
-            out = out * _truncations(p, asset.y_law.log_cf(alpha * u))[pick]
+        for (asset, alpha), p, pick, top in zip(legs, weights[1:], y_rows, tops[1:]):
+            y_base = asset.y_law.log_cf(alpha * u) if top else np.ones_like(u)
+            out = out * _truncations(p, y_base)[pick]
         return out
 
     comp = math.exp(-tau * sum(alpha * a.lambda1 * a.c_y for a, alpha in legs))
-    spread = sum(alpha * top * a.y_law.log_step() for (a, alpha), top in zip(legs, tops[1:]))
+    spread = sum(alpha * top * a.y_law.log_step()
+                 for (a, alpha), top in zip(legs, tops[1:]) if top)
     w, tail, loadings_ok = w_values(rate, sigma, tau, state.strike, np.array([spot * comp]),
                                     np.array([state.r]), spec, None, JumpFold(psi, spread))
 
@@ -194,6 +197,7 @@ def f_single(
     Returns the price (undiscounted; multiply by the bond for U) and a
     diagonal-truncation convergence report.
     """
+    validate(rate)
     validate(asset)
     validate(state)
     _check_laws(rate, [asset])
@@ -286,6 +290,7 @@ def g_basket(
     folded in at their weights.  Arithmetic baskets are rejected: they
     have no tractable transform and belong to the Monte Carlo engine.
     """
+    validate(rate)
     validate(basket)
     validate(state2)
     if not isinstance(basket.weights, GeometricWeights):

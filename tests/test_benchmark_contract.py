@@ -66,3 +66,19 @@ def test_ode_loadings_route_agrees(harness, monkeypatch, bench_rate, bench_asset
     monkeypatch.setattr(lp.fourier, "call_transform", record_reference.ode_transform(lp))
     ode_route = option_price(bench_rate, bench_asset, bench_state)
     assert abs(ode_route.value - series_route.value) <= 1e-9 * BENCH_SPOT
+
+
+def test_ode_loadings_route_fills_every_chunk(harness, monkeypatch, bench_rate):
+    # sigma = 0.1, tau = 0.1 decays slowly enough that the panel loop reads
+    # all 40 panels, so the ODE override fills every chunk of the grid.
+    lp, _, record_reference = harness
+    asset = lp.params.AssetParams(sigma=0.1, lambda1=0.0, y_law=lp.laws.Fixed(1.0))
+    state = lp.params.MarketState(spot=100.0, r=0.03, tau=0.1, strike=100.0)
+    series_route = option_price(bench_rate, asset, state)
+    ode = record_reference.ode_transform(lp)
+    monkeypatch.setattr(lp.fourier, "call_transform", ode)
+    ode_route = option_price(bench_rate, asset, state)
+    (grid,) = ode(bench_rate, 0.1, 0.1)._grids.values()
+    assert len(grid.chunks_ok) == len(grid.bounds) - 1
+    assert ode_route.converged
+    assert abs(ode_route.value - series_route.value) <= 1e-9 * state.spot

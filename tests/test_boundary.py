@@ -6,12 +6,14 @@ import pytest
 
 from levypricer import (
     AssetParams,
+    BasketParams,
     Exponential,
     Fixed,
     InvalidParameter,
     MarketState,
     RateParams,
     UnsupportedLaw,
+    basket_price,
     bond_price,
     charfn_eval,
     option_price,
@@ -63,3 +65,17 @@ def test_infinite_rate_jump_mgf_is_unsupported_law():
     rate = RateParams(k=2.0, a=0.05, sigma_r=0.05, lam=1.0, x_law=Exponential(0.3))
     with pytest.raises(UnsupportedLaw, match=r"theta=0\.3.*Monte Carlo"):
         option_price(rate, ASSET, _state())
+
+
+def test_invalid_rate_jump_law_raises_invalid_parameter():
+    # Exp(-1) has no mgf anywhere; the rate is validated before any loading.
+    rate = RateParams(k=2.0, a=0.05, sigma_r=0.05, lam=1.0, x_law=Exponential(-1.0))
+    basket = BasketParams(asset1=ASSET, asset2=_vol(0.2), rho=0.5)
+    pricers = {
+        "option_price": lambda: option_price(rate, ASSET, _state()),
+        "basket_price": lambda: basket_price(rate, basket, _state(spot=(BENCH_SPOT, 100.0))),
+        "bond_price": lambda: bond_price(rate, BENCH_R0, 1.0),
+    }
+    for price in pricers.values():
+        with pytest.raises(InvalidParameter, match="theta"):
+            price()

@@ -155,6 +155,39 @@ class TestLoadings:
         with pytest.raises(DenominatorVanishing):
             D_eval(p, coeffs, 1.0)
 
+    @pytest.mark.parametrize("tau", [0.1, 1.0, 3.5])
+    def test_matmul_evaluation_matches_horner(self, tau):
+        # polyval's Horner scheme on the same tables, at the B integral's nodes
+        # and at tau.  At tau = 3.5 the h' series cancels ~1e3-fold at large
+        # phi, which leaves either evaluation ~1e-13 from the exact sum; both
+        # are held to the sum of the terms' moduli, the bound any summation
+        # order obeys, and h, which does not cancel, also to 1e-13 of itself.
+        polyval = np.polynomial.polynomial.polyval
+        x, _ = gauss_legendre(charfn.TIME_NODES)
+        phis = np.linspace(0.05, 200.0, 400)
+        for shifted in (phis.astype(complex), phis - 1j):
+            table, converged = charfn._coeff_table(_rate(), shifted, tau)
+            assert converged.all()
+            slope = table[1:] * np.arange(1, table.shape[0])[:, None]
+            for t in (0.5 * tau * (x + 1.0), tau):
+                h, hp = charfn._h_and_deriv(table, t)
+                assert h.shape == hp.shape == (phis.size,) + np.shape(t)
+                ref = polyval(t, table)
+                assert np.max(np.abs(h - ref) / np.abs(ref)) <= 1e-13
+                assert np.max(np.abs(h - ref) / polyval(t, np.abs(table))) <= 1e-14
+                assert np.max(np.abs(hp - polyval(t, slope)) / polyval(t, np.abs(slope))) <= 1e-14
+
+    def test_scalar_time_shapes(self):
+        p = _rate()
+        coeffs = coeff_recurrence(p, 2.0, 10)
+        h, hp = charfn._h_and_deriv(coeffs, 1.0)
+        assert np.ndim(h) == np.ndim(hp) == 0
+        assert charfn._h_and_deriv(coeffs, np.array([0.5, 1.0]))[0].shape == (2,)
+        assert charfn._h_and_deriv(coeffs[:, None], 1.0)[1].shape == (1,)
+        assert np.ndim(D_eval(p, coeffs, 1.0)) == 0
+        rec = make_expansion(p, AssetParams(sigma=0.05, lambda1=1.0, y_law=Fixed(1.01)), 2.0, 1.0)
+        assert type(rec.D) is complex and type(rec.B) is complex
+
 
 # ---------------------------------------------------------------------------
 # Series vs the independent integration

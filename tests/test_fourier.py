@@ -158,3 +158,73 @@ class TestTransformCache:
             + 0.1 + 12 * math.log(1.01)
         narrowest = 2.0 * 0.6 * spec.nodes_per_panel / freq
         assert len(tr._grids) <= math.ceil(math.log2(spec.panel_width / narrowest)) + 1
+
+
+class TestLazyGrid:
+    """Loadings are built chunk by chunk, only as far as the panel loop reads."""
+
+    @staticmethod
+    def _quote(rate, sigma, tau, strike=100.0):
+        from levypricer import option_price
+
+        asset = AssetParams(sigma=sigma, lambda1=0.0, y_law=Fixed(1.0))
+        return option_price(rate, asset, MarketState(spot=100.0, r=0.03, tau=tau, strike=strike))
+
+    @staticmethod
+    def _count_freqs(monkeypatch):
+        from levypricer import charfn
+
+        series = charfn.bd_series_many
+        freqs = []
+
+        def counting(params, sigma, phis, *args, **kwargs):
+            freqs.append(np.size(phis))
+            return series(params, sigma, phis, *args, **kwargs)
+
+        monkeypatch.setattr(charfn, "bd_series_many", counting)
+        return freqs
+
+    def test_short_quote_reads_first_chunks_only(self, bench_rate, monkeypatch):
+        from levypricer.fourier import call_transform
+
+        call_transform.cache_clear()
+        freqs = self._count_freqs(monkeypatch)
+        res = self._quote(bench_rate, 0.2, 1.0)
+        assert res.converged
+        # phi = -i plus two 8-panel chunks at phi and phi - i; a grid built
+        # whole would ask for 1 + 2 x 40 x 20 = 1,601.
+        assert sum(freqs) <= 641
+
+    def test_slow_decay_reads_every_panel(self, bench_rate, monkeypatch):
+        from levypricer.fourier import call_transform
+
+        call_transform.cache_clear()
+        freqs = self._count_freqs(monkeypatch)
+        res = self._quote(bench_rate, 0.1, 0.1)
+        assert sum(freqs) == 1 + 2 * 40 * 20
+        assert res.converged
+        # Frozen from the grid that built all 40 panels' loadings up front.
+        assert abs(res.value - 1.4255195697651952) <= 1e-14 * 100.0
+
+    def test_quote_independent_of_cache_history(self, bench_rate):
+        from levypricer.fourier import call_transform
+
+        # At tau = 3.55 the coefficient table is cut at COEFF_CAP only for
+        # phi above ~140; the at-the-money quote stops far below that.
+        spec = QuadratureSpec()
+        call_transform.cache_clear()
+        fresh = self._quote(bench_rate, 0.1, 3.55)
+        assert fresh.converged
+        call_transform.cache_clear()
+        self._quote(bench_rate, 0.1, 3.55, strike=100.0 * math.exp(5.0))  # narrower grid
+        tr = call_transform(bench_rate, 0.1, 3.55, spec, None)
+        grid = tr._grid(0.1)  # the at-the-money grid: fill every chunk
+        for index, (start, stop) in enumerate(zip(grid.bounds, grid.bounds[1:])):
+            tr._fill(grid, index, start, stop)
+        assert sorted(tr._grids) == [0, 1]
+        assert grid.chunks_ok == [True, True, False, False]
+        again = self._quote(bench_rate, 0.1, 3.55)
+        assert again.value == fresh.value and again.converged == fresh.converged
+
+    def test_cut_minus_i_loading_flags_every_quote(self, bench_rate):
+        assert not self._quote(bench_rate, 0.1, 4.0).converged

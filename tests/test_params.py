@@ -27,6 +27,9 @@ class TestValidate:
     def test_benchmark_rate_ok(self):
         validate(_rate())  # no raise
 
+    def test_zero_mean_reversion_ok(self):
+        validate(_rate(k=0.0))  # the k = 0 limits are priced
+
     def test_negative_k_reports_field(self):
         with pytest.raises(InvalidParameter) as err:
             validate(_rate(k=-1.0))

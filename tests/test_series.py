@@ -157,6 +157,15 @@ class TestTermStructure:
         with pytest.raises(UnsupportedLaw):
             f_single(rate, asset_bad, bench_state)
 
+    def test_asset_law_unread_without_asset_jumps(self, bench_rate, bench_state):
+        # lambda1 = 0: no asset jump arrives, so a law without E[Y^{iu}] prices.
+        exp_law = option_price(bench_rate, AssetParams(sigma=0.05, lambda1=0.0,
+                                                       y_law=Exponential(5.0)), bench_state)
+        no_law = option_price(bench_rate, AssetParams(sigma=0.05, lambda1=0.0,
+                                                      y_law=Fixed(1.0)), bench_state)
+        assert exp_law.converged
+        assert abs(exp_law.value - no_law.value) <= 1e-15 * BENCH_SPOT
+
 
 class TestConvergenceStudy:
     def test_first_difference_is_first_partial(self, bench_rate, bench_asset, bench_state):
