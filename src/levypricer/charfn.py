@@ -177,15 +177,17 @@ def _check_tau(params: RateParams, tau: float) -> None:
 def _h_and_deriv(coeffs: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
     """h(t), h'(t) for table (N+1,) or (N+1, n_phi), shaped coeffs.shape[1:] + t.shape:
     rows x^n and n x^(n-1) in x = t / s, s = max t, times the terms a_n s^n
-    (which ``_coeff_table`` forms up to tau), in one real matmul."""
+    in one real matmul.  s^n = (2 f)^n 2^(n (e - 1)) for s = f 2^e stays
+    finite where a_n s^n is, as it is where Horner's scheme works."""
     t = np.asarray(t, dtype=float)
     s = float(t.max()) or 1.0
-    n = np.arange(coeffs.shape[0])
+    n = np.arange(coeffs.shape[0], dtype=np.intc)  # ldexp's native exponent type
     powers = (t.reshape(-1, 1) / s) ** n
-    slopes = np.zeros_like(powers)
-    slopes[:, 1:] = n[1:] * powers[:, :-1]
-    terms = np.asarray(coeffs, dtype=complex).reshape(n.size, -1) * s ** n[:, None]
-    hv = (np.vstack([powers, slopes]) @ terms.view(float)).view(complex)
+    slopes = n * np.roll(powers, 1, axis=1)  # n x^(n-1); x^N lands on n = 0
+    f, e = np.frexp(s)
+    terms = np.asarray(coeffs, dtype=complex).reshape(n.size, -1) * ((2.0 * f) ** n)[:, None]
+    terms = np.ldexp(terms.view(float), (n * (e - 1))[:, None])  # real, imaginary parts
+    hv = (np.vstack([powers, slopes]) @ terms).view(complex)
     shape = coeffs.shape[1:] + t.shape
     return hv[: t.size].T.reshape(shape)[()], (hv[t.size :].T / s).reshape(shape)[()]
 

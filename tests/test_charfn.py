@@ -177,6 +177,16 @@ class TestLoadings:
                 assert np.max(np.abs(h - ref) / polyval(t, np.abs(table))) <= 1e-14
                 assert np.max(np.abs(hp - polyval(t, slope)) / polyval(t, np.abs(slope))) <= 1e-14
 
+    def test_matmul_evaluation_beyond_float_powers(self):
+        # Radius ~97: at tau = 50 the 200-term table's a_n tau^n are finite
+        # though tau^200 is not; Horner's scheme never forms tau^n.
+        p = RateParams(k=0.05, a=0.05, sigma_r=0.01, lam=0.0, x_law=Fixed(0.0))
+        coeffs = coeff_recurrence(p, 2.0, 200)
+        polyval = np.polynomial.polynomial.polyval
+        slope = polyval(50.0, coeffs[1:] * np.arange(1, 201))
+        horner = -2.0 * slope / (p.sigma_r**2 * polyval(50.0, coeffs))
+        assert abs(D_eval(p, coeffs, 50.0) - horner) <= 1e-12 * abs(horner)
+
     def test_scalar_time_shapes(self):
         p = _rate()
         coeffs = coeff_recurrence(p, 2.0, 10)

@@ -226,5 +226,35 @@ class TestLazyGrid:
         again = self._quote(bench_rate, 0.1, 3.55)
         assert again.value == fresh.value and again.converged == fresh.converged
 
+    def test_concurrent_quotes_fill_each_chunk_once(self, bench_rate):
+        import sys
+        import threading
+
+        from levypricer.fourier import call_transform
+
+        call_transform.cache_clear()
+        serial = self._quote(bench_rate, 0.1, 0.1)  # reads every chunk
+        call_transform.cache_clear()
+        tr = call_transform(bench_rate, 0.1, 0.1, QuadratureSpec(), None)
+        results = []
+
+        def quote():
+            results.append(self._quote(bench_rate, 0.1, 0.1))
+
+        threads = [threading.Thread(target=quote) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [res.value for res in results] == [serial.value] * 8
+        (grid,) = tr._grids.values()
+        assert grid.chunks_ok == [True] * 4
+
     def test_cut_minus_i_loading_flags_every_quote(self, bench_rate):
         assert not self._quote(bench_rate, 0.1, 4.0).converged
