@@ -9,23 +9,26 @@ and f(-i) = S / b the forward price.  The integrals run over successive
 Gauss-Legendre panels; the integrand has a finite phi -> 0 limit and
 open panel nodes never touch phi = 0.
 
-Jumps fold into the same inversion: W is linear in f, and
-f = exp(B + D r + i u z) is exponential in the state, so the expectation
-of W over jump shifts of (z, r) inverts f * psi, with the per-frequency
-factor psi(u, D) = E[exp(D sum X + i u sum ln Y)] built by ``series``:
+One inversion prices one (spot, r) state, jumps folded in: W is linear
+in f, and f = exp(B + D r + i u z) is exponential in the state, so the
+expectation of W over jump shifts of (z, r) inverts f * psi, with the
+per-frequency factor psi(u, D) = E[exp(D sum X + i u sum ln Y)] built by
+``series``:
 
     E[W] = Re[f(-i) psi(-i)] P1 - K psi(0) P2,
 
 P1 normalised by f(-i) psi(-i), P2 by the mass psi(0) (below 1 when the
-Poisson series is truncated).  The integrand oscillates with period
-2 pi / (|ln(S/K)| + 0.1 + the jumps' log spread); the panel width keeps
-the radians per node within what the nodes resolve to machine precision,
-rounded down to panel_width / 2^j so a transform holds one grid per
-halving.  The (B, D) loadings depend only on (rate params, sigma, tau),
-so one cached transform serves every strike.  A grid fills them on demand,
-in fixed chunks of panels [0, 8), [8, 16), [16, 32) and [32, n), and a
-quote's ``converged`` covers what it read (phi = -i and the chunks its
-loop reached): False where that series was cut at ``charfn.COEFF_CAP``.
+Poisson series is truncated).  A fold's rows are truncations of that
+series, or shifted states with psi = exp(D dr + i u dz).  The integrand
+oscillates with period 2 pi / (|ln(S/K)| + 0.1 + the rows' log spread);
+the panel width keeps the radians per node within what the nodes resolve
+to machine precision, rounded down to panel_width / 2^j so a transform
+holds one grid per halving.  The (B, D) loadings depend only on (rate
+params, sigma, tau), so one cached transform serves every strike.  A grid
+fills them on demand, in fixed chunks of panels [0, 8), [8, 16), [16, 32)
+and [32, n), and a quote's ``converged`` covers what it read (phi = -i and
+the chunks its loop reached): False where that series was cut at
+``charfn.COEFF_CAP``.
 """
 
 from __future__ import annotations
@@ -52,11 +55,14 @@ _CHUNK_STARTS = (0, 8, 16, 32)  # first panel of each loadings chunk
 
 @dataclass(frozen=True)
 class JumpFold:
-    """psi(u, d) with shape (rows,) + u.shape, one row per truncation of the
-    jump series, and the largest log shift ``spread`` the jumps add to S."""
+    """psi(u, d) with shape (rows,) + u.shape, one row per value an inversion
+    returns, and the largest log shift ``spread`` a row adds to S."""
 
     psi: Callable[[np.ndarray, np.ndarray], np.ndarray]
     spread: float
+
+
+NO_JUMPS = JumpFold(lambda u, d: np.ones((1,) + np.shape(u)), 0.0)  # one row of ones
 
 
 @dataclass
@@ -124,24 +130,20 @@ class _CallTransform:
                 grid.chunks_ok.append(not self._cut)
         return grid.chunks_ok[index]
 
-    def invert(self, spots, rs, strike, fold: JumpFold | None = None):
-        """(forward, mass, P1, P2, tail, converged) per state, or per row of
-        ``fold`` for one jump-free state; W = forward * P1 - strike * mass * P2,
-        and ``converged`` covers the loadings this inversion read."""
-        z = np.log(np.atleast_1d(np.asarray(spots, dtype=float)))
-        rs = np.atleast_1d(np.asarray(rs, dtype=float))
+    def invert(self, spot: float, r: float, strike: float, fold: JumpFold):
+        """(forward, mass, P1, P2, tail, converged) for the one state (spot, r),
+        per row of ``fold`` (jump truncations or shifted states);
+        W = forward * P1 - strike * mass * P2, and ``converged`` covers the
+        loadings this inversion read."""
+        z = np.log(spot)
         log_k = math.log(strike)
-        forward = np.exp(self.b_minus_i + self.d_minus_i * rs + z).real
         # Oscillation frequency of the integrand in phi; the 0.1 margin
         # covers the drift-induced phase of f itself.
-        freq = float(np.max(np.abs(z - log_k))) + 0.1 + (fold.spread if fold else 0.0)
-        grid = self._grid(freq)
-        mass = 1.0
-        if fold is not None:
-            # Jump rows on the grid, normalised like P1 (forward) and P2 (mass).
-            psi_fwd = fold.psi(np.array(-1j), np.array(self.d_minus_i))
-            mass = fold.psi(np.array(0j), np.array(0j)).real
-            forward = (forward * psi_fwd).real
+        grid = self._grid(abs(z - log_k) + 0.1 + fold.spread)
+        # Rows on the grid, normalised like P1 (forward) and P2 (mass).
+        psi_fwd = fold.psi(np.array(-1j), np.array(self.d_minus_i))
+        mass = fold.psi(np.array(0j), np.array(0j)).real
+        forward = (np.exp(self.b_minus_i + self.d_minus_i * r + z).real * psi_fwd).real
         panel_tol = self.spec.tail_tol * grid.width / self.spec.panel_width
 
         p1 = p2 = 0.5
@@ -151,19 +153,15 @@ class _CallTransform:
         for index, (start, stop) in enumerate(zip(grid.bounds, grid.bounds[1:])):
             converged = self._fill(grid, index, start, stop) and converged
             b2, d2, b1, d1 = grid.bd[:, start:stop]
-            if fold is not None:
-                psi2 = fold.psi(grid.phis[start:stop], d2) / mass[:, None, None]
-                psi1 = fold.psi(grid.phis[start:stop] - 1j, d1) / psi_fwd[:, None, None]
+            psi2 = fold.psi(grid.phis[start:stop], d2) / mass[:, None, None]
+            psi1 = fold.psi(grid.phis[start:stop] - 1j, d1) / psi_fwd[:, None, None]
             for j, phis in enumerate(grid.phis[start:stop]):
                 phase = np.exp(-1j * phis * log_k) / (1j * phis)
                 q2 = grid.weights * np.exp(b2[j]) * phase
                 q1 = grid.weights * np.exp(b1[j] - self.b_minus_i) * phase
-                # States enter only through exp(D r + i phi z).
-                e2 = np.exp(np.outer(rs, d2[j]) + np.outer(z, 1j * phis))
-                e1 = np.exp(np.outer(rs, d1[j] - self.d_minus_i) + np.outer(z, 1j * phis))
-                if fold is not None:
-                    e2 = e2 * psi2[:, j]
-                    e1 = e1 * psi1[:, j]
+                # The state enters only through exp(D r + i phi z).
+                e2 = np.exp(r * d2[j] + z * (1j * phis)) * psi2[:, j]
+                e1 = np.exp(r * (d1[j] - self.d_minus_i) + z * (1j * phis)) * psi1[:, j]
                 c2 = (e2 @ q2).real / math.pi
                 c1 = (e1 @ q1).real / math.pi
                 p2 = p2 + c2
@@ -192,27 +190,24 @@ def w_values(
     sigma: float,
     tau: float,
     strike: float,
-    spots: np.ndarray,
-    rs: np.ndarray,
+    spots: float,
+    r: float,
     spec: QuadratureSpec = QuadratureSpec(),
     max_terms: int | None = None,
-    fold: JumpFold | None = None,
+    fold: JumpFold = NO_JUMPS,
 ) -> tuple[np.ndarray, float, bool]:
-    """Call values W for a batch of (spot, r) states sharing (tau, strike).
+    """Call values W at the one state (``spots``, r), one per row of ``fold``:
+    truncations of the folded jump series, or shifted states.
 
-    With ``fold``, one jump-free state and one value per truncation row of
-    the folded jump expectation.  Returns (values, quadrature error proxy
-    = last panel contribution, whether the loadings read converged).
-    Values are floored at zero: far out of the money the inversion can
-    come back a few ulps negative.
+    Returns (values, quadrature error proxy = last panel contribution,
+    whether the loadings read converged).  Values are floored at zero: far
+    out of the money the inversion can come back a few ulps negative.  At
+    tau = 0 no jump arrives: each row is the payoff times the row's mass.
     """
     if tau == 0.0:
-        w = np.maximum(np.atleast_1d(np.asarray(spots, dtype=float)) - strike, 0.0)
-        if fold is not None:  # one payoff per truncation row, times its mass
-            w = w * fold.psi(np.array(0j), np.array(0j)).real
-        return w, 0.0, True
+        return max(spots - strike, 0.0) * fold.psi(np.array(0j), np.array(0j)).real, 0.0, True
     tr = call_transform(rate, sigma, tau, spec, max_terms)
-    fwd, mass, p1, p2, tail, converged = tr.invert(spots, rs, strike, fold)
+    fwd, mass, p1, p2, tail, converged = tr.invert(spots, r, strike, fold)
     return np.maximum(fwd * p1 - strike * mass * p2, 0.0), tail, converged
 
 
@@ -232,8 +227,8 @@ def p_terms(
     validate(state)
     (spot,) = state.spots()
     tr = call_transform(rate, asset.sigma, state.tau, spec, None)
-    _, _, p1, p2, _, _ = tr.invert(np.array([spot]), np.array([state.r]), state.strike)
-    return float(p1[0]), float(p2[0])
+    _, _, (p1,), (p2,), _, _ = tr.invert(spot, state.r, state.strike, NO_JUMPS)
+    return float(p1), float(p2)
 
 
 def w_price(
@@ -247,9 +242,9 @@ def w_price(
     validate(asset)
     validate(state)
     (spot,) = state.spots()
-    w, tail, converged = w_values(rate, asset.sigma, state.tau, state.strike,
-                                  np.array([spot]), np.array([state.r]), spec, None)
-    return PriceResult(value=float(w[0]), terms_used=None, quad_error=tail,
+    (w,), tail, converged = w_values(rate, asset.sigma, state.tau, state.strike,
+                                     spot, state.r, spec, None)
+    return PriceResult(value=float(w), terms_used=None, quad_error=tail,
                        converged=converged and tail < spec.tail_tol)
 
 

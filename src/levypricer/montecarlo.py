@@ -262,6 +262,7 @@ def mc_option_price(
     workers: int = 1,
 ) -> PriceResult:
     """Discounted single-asset call estimate with its standard error."""
+    validate(rate)
     validate(asset)
     validate(state)
     return _run(rate, (asset,), 0.0, state, spec, (state.strike, None), workers)
@@ -271,6 +272,7 @@ def mc_bond_price(rate: RateParams, r0: float, tau: float, spec: SimSpec,
                   workers: int = 1) -> PriceResult:
     """Estimate of E[exp(-int r)] for the jump-extended square-root rate."""
     state = MarketState(spot=1.0, r=r0, tau=tau, strike=1.0)
+    validate(rate)
     validate(state)
     return _run(rate, (), 0.0, state, spec, None, workers)
 
@@ -280,6 +282,7 @@ def mc_basket_price(
     workers: int = 1,
 ) -> PriceResult:
     """Discounted basket call estimate; the only route for arithmetic baskets."""
+    validate(rate)
     validate(basket)
     validate(state2)
     if len(state2.spots()) != 2:
@@ -299,6 +302,7 @@ def simulate_paths(
     ``assets`` may be a single AssetParams, a BasketParams for two
     correlated assets, or None for rate-only paths.
     """
+    validate(rate)
     if assets is not None:
         validate(assets)
     validate(state)

@@ -151,21 +151,22 @@ def _jump_series(rate: RateParams, sigma: float, spot: float, state: MarketState
     weights = [poisson_weights(lam, tau, top) for lam, top in zip(intensities, tops)]
     rows = np.arange(max(tops) + 1)
     x_rows, *y_rows = [np.minimum(rows, top) for top in tops]
+    # A stream with no jump counted or arriving is P_0 alone; its law may have no mgf_X or E[Y^iu].
+    x_live, *y_live = [top > 0 and lam > 0 for top, lam in zip(tops, intensities)]
 
     def psi(u, d):  # E[exp(d sum X + i u sum ln Y)], one row per diagonal truncation
-        # A stream with no jump counted is P_0 alone; its law may have no mgf_X(d) or E[Y^{iu}].
-        x_base = _rate_mgf(rate.x_law, d) if tops[0] else np.ones_like(d)
+        x_base = _rate_mgf(rate.x_law, d) if x_live else np.ones_like(d)
         out = _truncations(weights[0], x_base)[x_rows]
-        for (asset, alpha), p, pick, top in zip(legs, weights[1:], y_rows, tops[1:]):
-            y_base = asset.y_law.log_cf(alpha * u) if top else np.ones_like(u)
+        for (asset, alpha), p, pick, live in zip(legs, weights[1:], y_rows, y_live):
+            y_base = asset.y_law.log_cf(alpha * u) if live else np.ones_like(u)
             out = out * _truncations(p, y_base)[pick]
         return out
 
     comp = math.exp(-tau * sum(alpha * a.lambda1 * a.c_y for a, alpha in legs))
     spread = sum(alpha * top * a.y_law.log_step()
-                 for (a, alpha), top in zip(legs, tops[1:]) if top)
-    w, tail, loadings_ok = w_values(rate, sigma, tau, state.strike, np.array([spot * comp]),
-                                    np.array([state.r]), spec, None, JumpFold(psi, spread))
+                 for (a, alpha), top, live in zip(legs, tops[1:], y_live) if live)
+    w, tail, loadings_ok = w_values(rate, sigma, tau, state.strike, spot * comp, state.r,
+                                    spec, None, JumpFold(psi, spread))
 
     partials = [float(v) for v in w]
     diffs = _diffs(partials)
@@ -347,10 +348,9 @@ def convergence_study(
         partials = []
         # Row n truncates the denominator series at order n (terms a_0..a_n).
         for n in range(max_terms + 1):
-            w, _, _ = w_values(rate, asset_or_basket.sigma, state.tau, state.strike,
-                               np.array([spot]), np.array([state.r]),
-                               spec=spec, max_terms=n + 1)
-            partials.append(float(w[0]))
+            (w,), _, _ = w_values(rate, asset_or_basket.sigma, state.tau, state.strike,
+                                  spot, state.r, spec=spec, max_terms=n + 1)
+            partials.append(float(w))
         return ConvergenceReport(
             indices=tuple((n,) for n in range(max_terms + 1)),
             partial_sums=tuple(partials),

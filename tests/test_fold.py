@@ -4,7 +4,8 @@ The pricers fold both Poisson jump streams into the transform and invert
 once.  The oracle here rebuilds the route they replaced from its parts:
 Poisson weights, generalized Gauss-Laguerre nodes for the Erlang sums of
 exponential rate jumps, Gauss-Hermite nodes for n-fold lognormal asset
-products, and one call value W per (spot, r) state from ``w_values``.
+products, and one call value W per (spot, r) state from ``w_values``,
+each state a row of one inversion at the base state.
 """
 
 import itertools
@@ -29,6 +30,7 @@ from levypricer import (
     option_price,
     w_values,
 )
+from levypricer.fourier import JumpFold
 from levypricer.laws import poisson_weights
 
 from conftest import BENCH_R0, BENCH_SPOT, BENCH_STRIKE, BENCH_TAU
@@ -60,12 +62,14 @@ def _state_sum(rate, sigma, spot, state, legs, tops):
 
     ``legs`` pairs each asset with its weight in the log price; ``tops``
     lists the Poisson truncation of the rate stream, then of each leg.
+    Each state is one row of a state fold at the base state: a shift of
+    (dz, dr) multiplies the transform by exp(D dr + i u dz).
     """
     tau = state.tau
     intensities = [rate.lam] + [a.lambda1 for a, _ in legs]
     p = [poisson_weights(lam, tau, top) for lam, top in zip(intensities, tops)]
     comp = math.exp(-tau * sum(alpha * a.lambda1 * (a.y_law.mean() - 1.0) for a, alpha in legs))
-    spots, rs, weights = [], [], []
+    dzs, drs, weights = [], [], []
     for counts in itertools.product(*(range(top + 1) for top in tops)):
         xn, xw = _sum_nodes(rate.x_law, counts[0])
         logs, yw = np.zeros(1), np.ones(1)
@@ -74,11 +78,18 @@ def _state_sum(rate, sigma, spot, state, legs, tops):
             logs = (logs[:, None] + alpha * ln[None, :]).ravel()
             yw = (yw[:, None] * lw[None, :]).ravel()
         mass = math.prod(pk[c] for pk, c in zip(p, counts))
-        spots.append(np.tile(spot * comp * np.exp(logs), xn.size))
-        rs.append(np.repeat(state.r + xn, logs.size))
+        dzs.append(np.tile(logs, xn.size))
+        drs.append(np.repeat(xn, logs.size))
         weights.append(mass * np.repeat(xw, logs.size) * np.tile(yw, xn.size))
-    w, _, _ = w_values(rate, sigma, tau, state.strike, np.concatenate(spots),
-                       np.concatenate(rs))
+    dz, dr = np.concatenate(dzs), np.concatenate(drs)
+
+    def psi(u, d):  # one row per state: exp(d dr + i u dz)
+        rows = np.multiply.outer(dr, d)
+        rows += np.multiply.outer(1j * dz, u)
+        return np.exp(rows, out=rows)
+
+    w, _, _ = w_values(rate, sigma, tau, state.strike, spot * comp, state.r,
+                       fold=JumpFold(psi, float(np.max(np.abs(dz)))))
     return float(np.concatenate(weights) @ w)
 
 

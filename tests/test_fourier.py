@@ -16,7 +16,9 @@ from levypricer import (
     bond_price,
     p_terms,
     w_price,
+    w_values,
 )
+from levypricer.fourier import JumpFold
 
 from conftest import BENCH_R0, BENCH_SPOT, BENCH_STRIKE, BENCH_TAU
 
@@ -124,6 +126,35 @@ class TestWPrice:
         state = MarketState(spot=100.0, r=0.03, tau=0.05, strike=100.0)
         with pytest.raises(TailNotDecayed):
             w_price(rate, asset, state, QuadratureSpec(phi_max_cap=60.0))
+
+
+class TestStateFold:
+    """A state shifted by (dz, dr) is the base state's transform times
+    exp(D dr + i u dz), so shifted states invert as rows of one fold."""
+
+    @staticmethod
+    def _fold(dz, dr):
+        def psi(u, d):
+            shape = (-1,) + (1,) * np.ndim(u)
+            return np.exp(np.reshape(dr, shape) * d + 1j * np.reshape(dz, shape) * u)
+
+        return JumpFold(psi, float(np.max(np.abs(dz))))
+
+    def test_rows_match_states_priced_one_by_one(self, bench_rate, bench_asset):
+        spots, rates = np.meshgrid([95.0, BENCH_SPOT, 125.0], [0.01, BENCH_R0, 0.06])
+        fold = self._fold(np.log(spots.ravel() / BENCH_SPOT), rates.ravel() - BENCH_R0)
+        rows, _, converged = w_values(bench_rate, bench_asset.sigma, BENCH_TAU, BENCH_STRIKE,
+                                      BENCH_SPOT, BENCH_R0, fold=fold)
+        each = [w_price(bench_rate, bench_asset,
+                        MarketState(spot=s, r=r, tau=BENCH_TAU, strike=BENCH_STRIKE)).value
+                for s, r in zip(spots.ravel(), rates.ravel())]
+        assert converged
+        assert np.max(np.abs(rows - each)) <= 1e-9 * BENCH_SPOT
+
+    def test_zero_shift_is_the_base_state(self, bench_rate, bench_asset, bench_state):
+        (row,), _, _ = w_values(bench_rate, bench_asset.sigma, BENCH_TAU, BENCH_STRIKE,
+                                BENCH_SPOT, BENCH_R0, fold=self._fold(np.zeros(1), np.zeros(1)))
+        assert row == w_price(bench_rate, bench_asset, bench_state).value
 
 
 class TestTransformCache:

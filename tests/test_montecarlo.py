@@ -78,6 +78,22 @@ class TestReproducibility:
         with pytest.raises(InvalidParameter):
             simulate_paths(bench_rate, bad_asset, bench_state, spec)
 
+    @pytest.mark.parametrize("bad", [dict(k=-1.0), dict(a=-0.05), dict(sigma_r=-0.05),
+                                     dict(lam=-1.0), dict(x_law=Exponential(-1.0))],
+                             ids=["k", "a", "sigma_r", "lam", "x_law"])
+    def test_invalid_rate_rejected_by_every_simulation(self, bad, bench_asset, bench_state):
+        # The analytic pricers raise InvalidParameter for the same rates.
+        rate = _rate(**bad)
+        spec = SimSpec(n_paths=1000, n_steps=16, seed=1)
+        basket = BasketParams(asset1=bench_asset, asset2=bench_asset, rho=0.0)
+        state2 = MarketState(spot=(BENCH_SPOT, 95.0), r=BENCH_R0, tau=1.0, strike=BENCH_STRIKE)
+        for simulate in (lambda: mc_option_price(rate, bench_asset, bench_state, spec),
+                         lambda: mc_bond_price(rate, BENCH_R0, 1.0, spec),
+                         lambda: mc_basket_price(rate, basket, state2, spec),
+                         lambda: simulate_paths(rate, bench_asset, bench_state, spec)):
+            with pytest.raises(InvalidParameter):
+                simulate()
+
 
 class TestDegenerateCases:
     def test_zero_maturity(self, bench_rate, bench_asset):

@@ -187,6 +187,28 @@ class TestConvergenceStudy:
         assert d_77_88 <= 5e-4
         assert d_77_88 > 1e-6
 
+    @pytest.mark.parametrize("unused", ["rate exponential", "rate lognormal", "asset exponential"])
+    def test_law_unread_where_no_jump_arrives(self, unused, bench_rate, bench_asset, bench_state):
+        # The forced tops count jumps that a zero intensity never delivers,
+        # so the unused law must give the study of a law that reads as one.
+        def rate(law):
+            return RateParams(k=2.0, a=0.05, sigma_r=0.05, lam=0.0, x_law=law)
+
+        def asset(law):
+            return AssetParams(sigma=0.05, lambda1=0.0, y_law=law)
+
+        cases = {
+            "rate exponential": ((rate(Exponential(0.3)), bench_asset),
+                                 (rate(Fixed(0.0)), bench_asset)),
+            "rate lognormal": ((rate(Lognormal(0.0, 0.1)), bench_asset),
+                               (rate(Fixed(0.0)), bench_asset)),
+            "asset exponential": ((bench_rate, asset(Exponential(5.0))),
+                                  (bench_rate, asset(Fixed(1.0)))),
+        }
+        unread, inert = cases[unused]
+        study = convergence_study("f", *unread, bench_state, 3)
+        assert study == convergence_study("f", *inert, bench_state, 3)
+
     def test_selector_validation(self, bench_rate, bench_asset, bench_state):
         with pytest.raises(ValueError):
             convergence_study("q", bench_rate, bench_asset, bench_state, 3)
