@@ -131,8 +131,7 @@ def loading_A(
 
 def bond_price(params: RateParams, r: float, s: float, **kwargs) -> float:
     """Zero-coupon bond price exp(A(s) + G(s) r); equals 1 at s = 0."""
-    validate(params)
-    validate(MarketState(spot=1.0, r=r, tau=s, strike=1.0))
+    validate(params, MarketState(spot=1.0, r=r, tau=s, strike=1.0))
     return math.exp(loading_A(params, s, **kwargs) + loading_G(params, s) * r)
 
 

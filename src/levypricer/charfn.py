@@ -345,9 +345,7 @@ def charfn_eval(
     r: float,
 ) -> complex:
     """f(phi; tau, z, r) = exp(B + D r + i phi z), loadings from ``bd_series_many``."""
-    validate(params)
-    validate(asset)
-    validate(MarketState(spot=1.0, r=r, tau=tau, strike=1.0))
+    validate(params, asset, MarketState(spot=1.0, r=r, tau=tau, strike=1.0))
     if tau == 0.0:
         return complex(np.exp(1j * phi * z))
     b, d = bd_series_many(params, asset.sigma, np.array([phi], dtype=complex), tau)

@@ -222,10 +222,11 @@ def p_terms(
     Both lie in [0, 1] up to quadrature noise; the f(-i) forward factor
     is applied by w_price, not here.
     """
-    validate(rate)
-    validate(asset)
-    validate(state)
+    validate(rate, asset, state, spec)
     (spot,) = state.spots()
+    if state.tau == 0.0:  # both probabilities are the indicator of S > K, 1/2 at S = K
+        p = 1.0 if spot > state.strike else 0.5 if spot == state.strike else 0.0
+        return p, p
     tr = call_transform(rate, asset.sigma, state.tau, spec, None)
     _, _, (p1,), (p2,), _, _ = tr.invert(spot, state.r, state.strike, NO_JUMPS)
     return float(p1), float(p2)
@@ -238,9 +239,7 @@ def w_price(
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> PriceResult:
     """Forward-measure call value W = f(-i) P1 - K P2 of the auxiliary model."""
-    validate(rate)
-    validate(asset)
-    validate(state)
+    validate(rate, asset, state, spec)
     (spot,) = state.spots()
     (w,), tail, converged = w_values(rate, asset.sigma, state.tau, state.strike,
                                      spot, state.r, spec, None)

@@ -211,12 +211,7 @@ def _payoff(payoff, s):
     if payoff is None:
         return 1.0
     strike, w = payoff
-    if w is None:
-        level = s[0]
-    elif w.kind == "geometric":
-        level = s[0] ** w.alpha * s[1] ** (1.0 - w.alpha)
-    else:
-        level = w.weights[0] * s[0] + w.weights[1] * s[1]
+    level = s[0] if w is None else w.level(*s)
     return np.maximum(level - strike, 0.0)
 
 
@@ -262,9 +257,7 @@ def mc_option_price(
     workers: int = 1,
 ) -> PriceResult:
     """Discounted single-asset call estimate with its standard error."""
-    validate(rate)
-    validate(asset)
-    validate(state)
+    validate(rate, asset, state, spec)
     return _run(rate, (asset,), 0.0, state, spec, (state.strike, None), workers)
 
 
@@ -272,8 +265,7 @@ def mc_bond_price(rate: RateParams, r0: float, tau: float, spec: SimSpec,
                   workers: int = 1) -> PriceResult:
     """Estimate of E[exp(-int r)] for the jump-extended square-root rate."""
     state = MarketState(spot=1.0, r=r0, tau=tau, strike=1.0)
-    validate(rate)
-    validate(state)
+    validate(rate, state, spec)
     return _run(rate, (), 0.0, state, spec, None, workers)
 
 
@@ -282,11 +274,7 @@ def mc_basket_price(
     workers: int = 1,
 ) -> PriceResult:
     """Discounted basket call estimate; the only route for arithmetic baskets."""
-    validate(rate)
-    validate(basket)
-    validate(state2)
-    if len(state2.spots()) != 2:
-        raise ValueError("basket simulation needs a two-spot MarketState")
+    validate(rate, basket, state2, spec)
     return _run(rate, (basket.asset1, basket.asset2), basket.rho, state2, spec,
                 (state2.strike, basket.weights), workers)
 
@@ -302,10 +290,7 @@ def simulate_paths(
     ``assets`` may be a single AssetParams, a BasketParams for two
     correlated assets, or None for rate-only paths.
     """
-    validate(rate)
-    if assets is not None:
-        validate(assets)
-    validate(state)
+    validate(rate, *([] if assets is None else [assets]), state, spec)
     if isinstance(assets, BasketParams):
         asset_tuple: tuple[AssetParams, ...] = (assets.asset1, assets.asset2)
         rho = assets.rho

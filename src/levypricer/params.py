@@ -2,17 +2,21 @@
 
 All containers are frozen dataclasses: cheap to hash (they key internal
 caches) and safe to share between threads.  Construction does not
-validate; ``validate`` checks every invariant at once and reports all
-violations together, which is what the CLI surfaces to users.
+validate; each container lists its broken invariants in ``violations()``.
+``validate(*containers)`` raises at the first container with any, with all
+of its violations (what the CLI surfaces to users), then checks that the
+state holds one spot for an asset and two for a basket.  The basket
+weights also own their payoff ``level`` and their series ``exponents``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import ClassVar
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, UnsupportedBasket
 from .laws import JumpLaw
 
 __all__ = [
@@ -28,6 +32,22 @@ __all__ = [
     "SimSpec",
     "validate",
 ]
+
+
+def _failed(*rules: tuple[bool, str, str]) -> list[str]:
+    """"field: constraint" for each (holds, field, constraint) rule that does not hold."""
+    return [f"{name}: {constraint}" for holds, name, constraint in rules if not holds]
+
+
+def _whole(value, low: int) -> bool:
+    """Whether ``value`` is an integer (numpy's included) >= ``low``."""
+    return isinstance(value, Integral) and value >= low
+
+
+def _law_violations(law: JumpLaw, prefix: str) -> list[str]:
+    if not isinstance(law, JumpLaw):
+        return [f"{prefix}: unknown jump law {type(law).__name__}"]
+    return [f"{prefix}.{item}" for item in law.violations()]
 
 
 @dataclass(frozen=True)
@@ -69,6 +89,13 @@ class RateParams:
         """Mean jump size E[X]."""
         return self.x_law.mean()
 
+    def violations(self) -> list[str]:
+        return _failed((self.k >= 0, "k", "must be >= 0"),
+                       (self.a > 0, "a", "must be > 0"),
+                       (self.sigma_r >= 0, "sigma_r", "must be >= 0"),
+                       (self.lam >= 0, "lambda", "must be >= 0")) \
+            + _law_violations(self.x_law, "x_law")
+
 
 @dataclass(frozen=True)
 class AssetParams:
@@ -94,6 +121,12 @@ class AssetParams:
         """Compensator mean E[Y] - 1."""
         return self.y_law.mean() - 1.0
 
+    def violations(self) -> list[str]:
+        v = _failed((0 < self.sigma < math.inf, "sigma", "must be finite and > 0"),
+                    (self.lambda1 >= 0, "lambda1", "must be >= 0")) \
+            + _law_violations(self.y_law, "y_law")
+        return v or _failed((math.isfinite(self.c_y), "y_law", "E[Y] - 1 must be finite"))
+
 
 @dataclass(frozen=True)
 class GeometricWeights:
@@ -102,6 +135,17 @@ class GeometricWeights:
     alpha: float
     kind: ClassVar[str] = "geometric"
 
+    def violations(self) -> list[str]:
+        return _failed((0.0 <= self.alpha <= 1.0, "alpha", "must lie in [0, 1]"))
+
+    def level(self, s1, s2):
+        """Basket level H of the asset levels (floats or arrays)."""
+        return s1**self.alpha * s2 ** (1.0 - self.alpha)
+
+    def exponents(self) -> tuple[float, float]:
+        """(alpha, 1 - alpha): ln H = alpha ln S1 + (1 - alpha) ln S2."""
+        return self.alpha, 1.0 - self.alpha
+
 
 @dataclass(frozen=True)
 class ArithmeticWeights:
@@ -109,6 +153,19 @@ class ArithmeticWeights:
 
     weights: tuple[float, float]
     kind: ClassVar[str] = "arithmetic"
+
+    def violations(self) -> list[str]:
+        return _failed((all(x >= 0 for x in self.weights), "weights", "must be nonnegative"),
+                       (abs(sum(self.weights) - 1.0) < 1e-12, "weights", "must sum to 1"))
+
+    def level(self, s1, s2):
+        """Basket level H of the asset levels (floats or arrays)."""
+        return self.weights[0] * s1 + self.weights[1] * s2
+
+    def exponents(self) -> tuple[float, float]:
+        """No log-linear form: the series cannot price an arithmetic basket."""
+        raise UnsupportedBasket("arithmetic baskets are priced by Monte Carlo only; "
+                                "use mc_basket_price")
 
 
 @dataclass(frozen=True)
@@ -119,6 +176,14 @@ class BasketParams:
     asset2: AssetParams
     rho: float
     weights: GeometricWeights | ArithmeticWeights = field(default_factory=lambda: GeometricWeights(0.5))
+
+    def violations(self) -> list[str]:
+        v = [f"{prefix}.{item}" for prefix, asset in (("asset1", self.asset1), ("asset2", self.asset2))
+             for item in asset.violations()]
+        v += _failed((-1.0 <= self.rho <= 1.0, "rho", "must lie in [-1, 1]"))
+        if not isinstance(self.weights, (GeometricWeights, ArithmeticWeights)):
+            return v + [f"weights: unknown basket selector {type(self.weights).__name__}"]
+        return v + self.weights.violations()
 
 
 @dataclass(frozen=True)
@@ -137,6 +202,12 @@ class MarketState:
 
     def spots(self) -> tuple[float, ...]:
         return self.spot if isinstance(self.spot, tuple) else (self.spot,)
+
+    def violations(self) -> list[str]:
+        return _failed((all(0 < s < math.inf for s in self.spots()), "spot", "must be finite and > 0"),
+                       (math.isfinite(self.r), "r", "must be finite"),
+                       (0 <= self.tau < math.inf, "tau", "must be finite and >= 0"),
+                       (0 < self.strike < math.inf, "strike", "must be finite and > 0"))
 
 
 @dataclass(frozen=True)
@@ -165,6 +236,13 @@ class SeriesTruncation:
     mass_tol: float = 1e-10
     term_tol: float = 1e-10
 
+    def violations(self) -> list[str]:
+        return _failed((_whole(self.l_max, 0), "l_max", "must be an integer >= 0"),
+                       (_whole(self.n_max, 0), "n_max", "must be an integer >= 0"),
+                       (_whole(self.m_max, 0), "m_max", "must be an integer >= 0"),
+                       (0 < self.mass_tol < 1, "mass_tol", "must lie in (0, 1)"),
+                       (0 < self.term_tol < math.inf, "term_tol", "must be finite and > 0"))
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -174,6 +252,12 @@ class QuadratureSpec:
     nodes_per_panel: int = 20
     phi_max_cap: float = 200.0
     tail_tol: float = 1e-10
+
+    def violations(self) -> list[str]:
+        return _failed((0 < self.panel_width < math.inf, "panel_width", "must be finite and > 0"),
+                       (_whole(self.nodes_per_panel, 1), "nodes_per_panel", "must be an integer >= 1"),
+                       (0 < self.phi_max_cap < math.inf, "phi_max_cap", "must be finite and > 0"),
+                       (0 < self.tail_tol < math.inf, "tail_tol", "must be finite and > 0"))
 
 
 @dataclass(frozen=True)
@@ -185,60 +269,39 @@ class SimSpec:
     seed: int = 0
     antithetic: bool = True
 
-
-def _check(violations: list[str], ok: bool, name: str, constraint: str) -> None:
-    if not ok:
-        violations.append(f"{name}: {constraint}")
-
-
-def _law_violations(law: JumpLaw, prefix: str) -> list[str]:
-    if not isinstance(law, JumpLaw):
-        return [f"{prefix}: unknown jump law {type(law).__name__}"]
-    return [f"{prefix}.{item}" for item in law.violations()]
+    def violations(self) -> list[str]:
+        return _failed((_whole(self.n_paths, 1), "n_paths", "must be an integer >= 1"),
+                       (_whole(self.n_steps, 1), "n_steps", "must be an integer >= 1"),
+                       (_whole(self.seed, 0), "seed", "must be an integer >= 0"))
 
 
-def validate(params) -> None:
-    """Check every invariant of a parameter container; raise on violation.
+_CONTAINERS = (RateParams, AssetParams, BasketParams, MarketState,
+               SeriesTruncation, QuadratureSpec, SimSpec)
+
+
+def validate(*containers) -> None:
+    """Check every invariant of each parameter container, in the order given,
+    then that the state holds as many spots as the assets priced on it.
 
     Raises
     ======
     InvalidParameter
-        Carrying one entry per violated invariant, named by field.
+        At the first container with a violation, carrying one entry per
+        violated invariant of that container, named by field; or naming
+        ``spot`` when a single asset comes with a two-spot state.
+    UnsupportedBasket
+        When a basket comes with a one-spot state.
+    TypeError
+        For an argument that is not a parameter container.
     """
-    v: list[str] = []
-    if isinstance(params, RateParams):
-        _check(v, params.k >= 0, "k", "must be >= 0")
-        _check(v, params.a > 0, "a", "must be > 0")
-        _check(v, params.sigma_r >= 0, "sigma_r", "must be >= 0")
-        _check(v, params.lam >= 0, "lambda", "must be >= 0")
-        v += _law_violations(params.x_law, "x_law")
-    elif isinstance(params, AssetParams):
-        _check(v, 0 < params.sigma < math.inf, "sigma", "must be finite and > 0")
-        _check(v, params.lambda1 >= 0, "lambda1", "must be >= 0")
-        v += _law_violations(params.y_law, "y_law")
-        if not v:
-            _check(v, math.isfinite(params.c_y), "y_law", "E[Y] - 1 must be finite")
-    elif isinstance(params, BasketParams):
-        for prefix, asset in (("asset1", params.asset1), ("asset2", params.asset2)):
-            try:
-                validate(asset)
-            except InvalidParameter as err:
-                v.extend(f"{prefix}.{item}" for item in err.violations)
-        _check(v, -1.0 <= params.rho <= 1.0, "rho", "must lie in [-1, 1]")
-        w = params.weights
-        if isinstance(w, GeometricWeights):
-            _check(v, 0.0 <= w.alpha <= 1.0, "alpha", "must lie in [0, 1]")
-        elif isinstance(w, ArithmeticWeights):
-            _check(v, all(x >= 0 for x in w.weights), "weights", "must be nonnegative")
-            _check(v, abs(sum(w.weights) - 1.0) < 1e-12, "weights", "must sum to 1")
-        else:
-            v.append(f"weights: unknown basket selector {type(w).__name__}")
-    elif isinstance(params, MarketState):
-        _check(v, all(0 < s < math.inf for s in params.spots()), "spot", "must be finite and > 0")
-        _check(v, math.isfinite(params.r), "r", "must be finite")
-        _check(v, 0 <= params.tau < math.inf, "tau", "must be finite and >= 0")
-        _check(v, 0 < params.strike < math.inf, "strike", "must be finite and > 0")
-    else:
-        raise TypeError(f"validate does not handle {type(params).__name__}")
-    if v:
-        raise InvalidParameter(v)
+    for container in containers:
+        if not isinstance(container, _CONTAINERS):
+            raise TypeError(f"validate does not handle {type(container).__name__}")
+        entries = container.violations()
+        if entries:
+            raise InvalidParameter(entries)
+    spots = {len(c.spots()) for c in containers if isinstance(c, MarketState)}
+    if spots - {1} and any(isinstance(c, AssetParams) for c in containers):
+        raise InvalidParameter(["spot: must be one price for a single asset"])
+    if spots - {2} and any(isinstance(c, BasketParams) for c in containers):
+        raise UnsupportedBasket("basket pricing needs a two-spot MarketState")

@@ -40,7 +40,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .bond import bond_price
-from .errors import UnsupportedBasket, UnsupportedLaw
+from .errors import UnsupportedLaw
 from .fourier import JumpFold, w_values
 # jump_sum_nodes, product_nodes: unused, but perfbench/spans.py wraps them here.
 from .laws import (  # noqa: F401
@@ -54,7 +54,6 @@ from .laws import (  # noqa: F401
 from .params import (
     AssetParams,
     BasketParams,
-    GeometricWeights,
     MarketState,
     PriceResult,
     QuadratureSpec,
@@ -198,9 +197,7 @@ def f_single(
     Returns the price (undiscounted; multiply by the bond for U) and a
     diagonal-truncation convergence report.
     """
-    validate(rate)
-    validate(asset)
-    validate(state)
+    validate(rate, asset, state, trunc, spec)
     _check_laws(rate, [asset])
     (spot,) = state.spots()
     return _jump_series(rate, asset.sigma, spot, state, [(asset, 1.0)],
@@ -264,11 +261,9 @@ def merton_reference(
     return disc * total
 
 
-def _geometric_reduction(basket: BasketParams) -> tuple[float, float]:
-    """(sigma_H, delta) for ln H = alpha ln S1 + (1-alpha) ln S2."""
-    w = basket.weights
+def _geometric_reduction(basket: BasketParams, alpha: float, beta: float) -> tuple[float, float]:
+    """(sigma_H, delta) for ln H = alpha ln S1 + beta ln S2."""
     a1, a2 = basket.asset1, basket.asset2
-    alpha, beta = w.alpha, 1.0 - w.alpha
     var_h = (alpha * a1.sigma) ** 2 + (beta * a2.sigma) ** 2 \
         + 2.0 * basket.rho * alpha * beta * a1.sigma * a2.sigma
     sigma_h = math.sqrt(max(var_h, 0.0))
@@ -291,19 +286,11 @@ def g_basket(
     folded in at their weights.  Arithmetic baskets are rejected: they
     have no tractable transform and belong to the Monte Carlo engine.
     """
-    validate(rate)
-    validate(basket)
-    validate(state2)
-    if not isinstance(basket.weights, GeometricWeights):
-        raise UnsupportedBasket(
-            "arithmetic baskets are priced by Monte Carlo only; use mc_basket_price"
-        )
+    validate(rate, basket, state2, trunc, spec)
+    alpha, beta = basket.weights.exponents()
     _check_laws(rate, [basket.asset1, basket.asset2])
-    if len(state2.spots()) != 2:
-        raise UnsupportedBasket("basket pricing needs a two-spot MarketState")
     s1, s2 = state2.spots()
-    alpha, beta = basket.weights.alpha, 1.0 - basket.weights.alpha
-    sigma_h, delta = _geometric_reduction(basket)
+    sigma_h, delta = _geometric_reduction(basket, alpha, beta)
     spot_h = s1**alpha * s2**beta * math.exp(-delta * state2.tau)
     return _jump_series(rate, sigma_h, spot_h, state2,
                         [(basket.asset1, alpha), (basket.asset2, beta)],
@@ -341,9 +328,16 @@ def convergence_study(
     """
     if max_terms < 1:
         raise ValueError("convergence_study requires max_terms >= 1")
+    series = {"w": (None, AssetParams, 0, "single-asset transform"),
+              "f": (f_single, AssetParams, 2, "single-asset series"),
+              "basket": (g_basket, BasketParams, 3, "two-asset series")}
+    if selector not in series:
+        raise ValueError(f"unknown convergence selector {selector!r}")
+    pricer, params_type, streams, what = series[selector]
+    if not isinstance(asset_or_basket, params_type):
+        raise TypeError(f"selector {selector!r} studies the {what}")
+    validate(rate, asset_or_basket, state, spec)
     if selector == "w":
-        if not isinstance(asset_or_basket, AssetParams):
-            raise TypeError("selector 'w' studies the single-asset transform")
         (spot,) = state.spots()
         partials = []
         # Row n truncates the denominator series at order n (terms a_0..a_n).
@@ -357,13 +351,6 @@ def convergence_study(
             abs_diffs=tuple(_diffs(partials)),
             final_terms=(max_terms,),
         )
-    series = {"f": (f_single, AssetParams, 2, "single-asset"),
-              "basket": (g_basket, BasketParams, 3, "two-asset")}
-    if selector not in series:
-        raise ValueError(f"unknown convergence selector {selector!r}")
-    pricer, params_type, streams, what = series[selector]
-    if not isinstance(asset_or_basket, params_type):
-        raise TypeError(f"selector {selector!r} studies the {what} series")
     _, report = pricer(rate, asset_or_basket, state, spec=spec,
                        _force_tops=(max_terms,) * streams)
     return report

@@ -261,6 +261,19 @@ class TestCli:
         assert code == 1
         assert "RadiusExceeded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flags,entry", [
+        ("price", ["--tol", "2"], "mass_tol: must lie in (0, 1)"),
+        ("price", ["--max-terms", "-1"], "l_max: must be an integer >= 0; "
+         "n_max: must be an integer >= 0; m_max: must be an integer >= 0"),
+        ("w-price", ["--phi-max", "0"], "phi_max_cap: must be finite and > 0"),
+        ("mc", ["--paths", "0"], "n_paths: must be an integer >= 1"),
+    ])
+    def test_invalid_control_flag_exit_code(self, cfg_path, capsys, command, flags, entry):
+        assert run([command, "--config", cfg_path, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"InvalidParameter: {entry}\n"
+
     def test_odd_antithetic_path_count_reported(self, cfg_path, capsys):
         code = run(["paths", "--config", cfg_path, "--paths", "3", "--steps", "4"])
         assert code == 1
