@@ -99,6 +99,7 @@ def _cmd_validate(args, sections) -> int:
         validate(config.basket_from_config(sections))
     if "market" in sections:
         validate(config.market_from_config(sections))
+    validate(_trunc(args), _quad_spec(args), _sim_spec(args))
     print("ok")
     return 0
 

@@ -33,14 +33,21 @@ stream, so results are bit-for-bit reproducible for a given SimSpec,
 independent of worker count, and the asset-1 draws of a basket run
 coincide with a single-asset run under the same seed.  Antithetic pairs
 negate every Gaussian (rate and assets) and share every jump draw.
-Blocks are embarrassingly parallel; ``workers`` > 1 fans them out to
+
+Parallelism: within a block, one helper thread draws the rate Gaussians
+one step ahead (a run of steps ahead for a small block) while the calling
+thread advances the rate in place over the current step.  Both run in
+numpy code that releases the GIL, so the draws overlap the step
+arithmetic; the helper is the rate stream's only consumer during the loop
+and draws in step order, so the results do not depend on the overlap.
+Blocks are embarrassingly parallel; ``workers`` > 1 still fans them out to
 processes and reduces in block order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +58,7 @@ from .params import (AssetParams, BasketParams, MarketState, PriceResult, RatePa
 __all__ = ["PathBundle", "simulate_paths", "mc_option_price", "mc_bond_price", "mc_basket_price"]
 
 _BLOCK = 1 << 16  # entities (paths, or pairs when antithetic) per block
+_DRAW_MIN = 1 << 14  # rate Gaussians per hand-off to the draw thread, at least
 
 
 @dataclass(frozen=True)
@@ -77,12 +85,7 @@ def _n_steps_total(spec: SimSpec, tau: float) -> int:
 
 def _blocks(spec: SimSpec) -> list[tuple[int, int]]:
     """(block index, entities in block); entities are pairs when antithetic."""
-    if spec.antithetic:
-        if spec.n_paths % 2:
-            raise ValueError("antithetic simulation requires an even n_paths")
-        total = spec.n_paths // 2
-    else:
-        total = spec.n_paths
+    total = spec.n_paths // 2 if spec.antithetic else spec.n_paths
     out = []
     idx = 0
     while total > 0:
@@ -104,6 +107,15 @@ def _rate_jumps(rate: RateParams, n_entities: int, n_steps: int, tau: float,
     sizes = rate.x_law.sample(total, rng)
     order = np.argsort(steps, kind="stable")
     return steps[order], np.repeat(np.arange(n_entities), counts)[order], sizes[order]
+
+
+def _draw_rate_normals(rng: np.random.Generator, xi: np.ndarray) -> np.ndarray:
+    """Fill ``xi`` (lead, steps, entities) with a run of steps' rate
+    Gaussians in step order; a second lead row mirrors the first."""
+    rng.standard_normal(out=xi[0])
+    if len(xi) > 1:
+        np.negative(xi[0], out=xi[1])
+    return xi
 
 
 def _asset_logs(assets, rho, spots, integrals, dt, rngs, antithetic):
@@ -171,18 +183,42 @@ def _simulate_block(
         r_path = np.empty((lead, n_entities, n_steps + 1))
         r_path[..., 0] = r
 
-    for step in range(n_steps):
-        xi = rngs[0].standard_normal(n_entities)
-        xi_r = np.stack([xi, -xi]) if spec.antithetic else xi[None, :]
-        r_running += r
-        r_plus = np.maximum(r, 0.0)
-        r = r + drift_const - (rate.k * h) * r_plus \
-            + (rate.sigma_r * sqrt_dt) * np.sqrt(r_plus) * xi_r
-        lo, hi = bounds[step], bounds[step + 1]
-        if hi > lo:
-            np.add.at(r, (slice(None), j_owners[lo:hi]), j_sizes[lo:hi])
-        if keep_paths:
-            r_path[..., step + 1] = r
+    # Steps per hand-off to the draw thread: one for a large block, enough
+    # for _DRAW_MIN Gaussians for a small one, where a hand-off per step
+    # would cost more than the draw it overlaps.
+    per_draw = min(n_steps, -(-_DRAW_MIN // n_entities))
+    xi_bufs = np.empty((2, lead, per_draw, n_entities))  # this run's Gaussians and the next's
+    r_plus, diffusion = np.empty((2, lead, n_entities))
+    kh, vol = rate.k * h, rate.sigma_r * sqrt_dt
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        def draw(start):  # the helper fills the next run while this thread steps
+            run = xi_bufs[start // per_draw % 2, :, :n_steps - start]
+            return helper.submit(_draw_rate_normals, rngs[0], run)
+
+        pending = draw(0)
+        for step in range(n_steps):
+            row = step % per_draw
+            if row == 0:
+                xi_run = pending.result()
+                if step + per_draw < n_steps:
+                    pending = draw(step + per_draw)
+            xi = xi_run[:, row]
+            r_running += r
+            # r = ((r + drift) - (k h) r+) + ((sigma_r sqrt dt) sqrt(r+)) xi, in place
+            # and in this order: the golden-stream test pins every rounding
+            np.maximum(r, 0.0, out=r_plus)
+            np.sqrt(r_plus, out=diffusion)
+            r_plus *= kh
+            r += drift_const
+            r -= r_plus
+            diffusion *= vol
+            diffusion *= xi
+            r += diffusion
+            lo, hi = bounds[step], bounds[step + 1]
+            if hi > lo:
+                np.add.at(r, (slice(None), j_owners[lo:hi]), j_sizes[lo:hi])
+            if keep_paths:
+                r_path[..., step + 1] = r
 
     if keep_paths:
         integrals, obs_dt = 0.5 * (r_path[..., :-1] + r_path[..., 1:]) * dt, dt

@@ -270,7 +270,10 @@ class SimSpec:
     antithetic: bool = True
 
     def violations(self) -> list[str]:
-        return _failed((_whole(self.n_paths, 1), "n_paths", "must be an integer >= 1"),
+        whole = _whole(self.n_paths, 1)
+        return _failed((whole, "n_paths", "must be an integer >= 1"),
+                       (not (whole and self.antithetic) or self.n_paths % 2 == 0,
+                        "n_paths", "must be even when antithetic"),
                        (_whole(self.n_steps, 1), "n_steps", "must be an integer >= 1"),
                        (_whole(self.seed, 0), "seed", "must be an integer >= 0"))
 

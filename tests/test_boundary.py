@@ -167,6 +167,7 @@ CONTROL = {
     "phi_max_cap=0": (QuadratureSpec(phi_max_cap=0.0), "phi_max_cap: must be finite and > 0"),
     "tail_tol=nan": (QuadratureSpec(tail_tol=math.nan), "tail_tol: must be finite and > 0"),
     "n_paths=0": (SimSpec(n_paths=0), "n_paths: must be an integer >= 1"),
+    "n_paths=3": (SimSpec(n_paths=3), "n_paths: must be even when antithetic"),
     "n_steps=-5": (SimSpec(n_steps=-5), "n_steps: must be an integer >= 1"),
     "seed=-1": (SimSpec(seed=-1), "seed: must be an integer >= 0"),
     "seed=0.5": (SimSpec(seed=0.5), "seed: must be an integer >= 0"),
@@ -179,6 +180,11 @@ def test_control_container_rules(case):
     with pytest.raises(InvalidParameter) as err:
         validate(container)
     assert err.value.violations == [entry]
+
+
+def test_odd_path_count_valid_without_antithetic_pairs():
+    validate(SimSpec(n_paths=3, antithetic=False))
+    validate(SimSpec(n_paths=np.int64(3), antithetic=False))
 
 
 def test_control_containers_accept_numpy_integers():

@@ -267,6 +267,9 @@ class TestCli:
          "n_max: must be an integer >= 0; m_max: must be an integer >= 0"),
         ("w-price", ["--phi-max", "0"], "phi_max_cap: must be finite and > 0"),
         ("mc", ["--paths", "0"], "n_paths: must be an integer >= 1"),
+        ("validate", ["--tol", "2"], "mass_tol: must lie in (0, 1)"),
+        ("validate", ["--paths", "0"], "n_paths: must be an integer >= 1"),
+        ("validate", ["--phi-max", "-1"], "phi_max_cap: must be finite and > 0"),
     ])
     def test_invalid_control_flag_exit_code(self, cfg_path, capsys, command, flags, entry):
         assert run([command, "--config", cfg_path, *flags]) == 1

@@ -1,6 +1,9 @@
 """Simulation engine: reproducibility, martingale diagnostics, oracles."""
 
+import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from levypricer import (
     mc_option_price,
     simulate_paths,
 )
+from levypricer import montecarlo
 
 from conftest import BENCH_R0, BENCH_SPOT, BENCH_STRIKE
 
@@ -32,6 +36,89 @@ def _rate(**kw):
     base = dict(k=2.0, a=0.05, sigma_r=0.05, lam=1.0, x_law=Exponential(1000.0))
     base.update(kw)
     return RateParams(**base)
+
+
+# float.hex of (value, stderr), and the sha256 of a path bundle's grids, as
+# recorded with every rate Gaussian drawn on the calling thread one step at a
+# time; keyed "<run>-<antithetic>".
+GOLDEN_STREAMS = {
+    "option-True": ("0x1.c26eb08d47731p+3", "0x1.201a8d79fd21fp-5"),
+    "arithmetic-True": ("0x1.5c17041b2d16ap+3", "0x1.ccd576bf80674p-4"),
+    "geometric-True": ("0x1.5157eb9bfc01bp+3", "0x1.c9b6201227bf2p-4"),
+    "bond-True": ("0x1.eb4055bbb9be1p-1", "0x1.e179d55cc6543p-17"),
+    "blocks-True": ("0x1.c005a0ef64966p+3", "0x1.1f1cc210e1eaap-8"),
+    "paths-True":
+        "12a40e703cbff4ff027c1df2b1d37f8c0cbeed3c2cbd7693e8367655eff370bf",
+    "option-False": ("0x1.c3484d7235a51p+3", "0x1.01c56bf7e1c4cp-3"),
+    "arithmetic-False": ("0x1.5e1eb4c69e3e1p+3", "0x1.b178363f23d16p-3"),
+    "geometric-False": ("0x1.53e15e80e7a5ap+3", "0x1.add509a9e56f9p-3"),
+    "bond-False": ("0x1.eb3b5bd161b93p-1", "0x1.1710a3516bde2p-14"),
+    "blocks-False": ("0x1.c00f16520528ap+3", "0x1.fbc9280c21d7dp-7"),
+    "paths-False":
+        "ecc5bfb4e87465c110a60b5fd7ba1fb03182afe6e36393635f772afd50ce1859",
+}
+
+
+def _golden_runs(rate, asset, state, antithetic):
+    spec = SimSpec(n_paths=2_000, n_steps=32, seed=41, antithetic=antithetic)
+    asset2 = AssetParams(sigma=0.2, lambda1=1.0, y_law=Lognormal(-0.02, 0.08))
+    state2 = MarketState(spot=(110.0, 100.0), r=BENCH_R0, tau=1.0, strike=100.0)
+    basket = lambda w: BasketParams(asset1=asset, asset2=asset2, rho=0.5, weights=w)
+    runs = {
+        "option": mc_option_price(rate, asset, state, spec),
+        "arithmetic": mc_basket_price(rate, basket(ArithmeticWeights((0.6, 0.4))), state2, spec),
+        "geometric": mc_basket_price(rate, basket(GeometricWeights(0.6)), state2, spec),
+        "bond": mc_bond_price(rate, BENCH_R0, 1.0, spec),
+        "blocks": mc_option_price(rate, asset, state,
+                                  SimSpec(2 * 65_536 + 2, 2, seed=41, antithetic=antithetic)),
+    }
+    out = {f"{name}-{antithetic}": (res.value.hex(), res.stderr.hex())
+           for name, res in runs.items()}
+    bundle = simulate_paths(rate, basket(GeometricWeights(0.6)), state2,
+                            SimSpec(6, 16, seed=41, antithetic=antithetic))
+    digest = hashlib.sha256()
+    for grid in (bundle.t, bundle.r, bundle.s, bundle.s2, bundle.rate_jumps,
+                 bundle.asset_jumps, bundle.asset2_jumps):
+        digest.update(np.ascontiguousarray(grid, dtype="<f8").tobytes())
+    out[f"paths-{antithetic}"] = digest.hexdigest()
+    return out
+
+
+def _in_threads(*fns, timeout=60.0):
+    """Run each of ``fns`` on its own thread at once; one dict per call holds
+    what it returned ("result") or raised ("error")."""
+    boxes = [{} for _ in fns]
+
+    def target(fn, box):
+        try:
+            box["result"] = fn()
+        except Exception as err:  # handed back to the test thread
+            box["error"] = err
+
+    threads = [threading.Thread(target=target, args=pair, daemon=True)
+               for pair in zip(fns, boxes)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout)
+        assert not thread.is_alive(), f"no result within {timeout} s"
+    return boxes
+
+
+class _FailingNormals:
+    """A generator whose ``standard_normal`` raises on its fifth call."""
+
+    def __init__(self, rng):
+        self._rng, self._calls = rng, 0
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_normal(self, *args, **kwargs):
+        self._calls += 1
+        if self._calls == 5:
+            raise RuntimeError("draw failed")
+        return self._rng.standard_normal(*args, **kwargs)
 
 
 class TestReproducibility:
@@ -53,9 +140,44 @@ class TestReproducibility:
         assert a.value != b.value
 
     def test_odd_antithetic_rejected(self, bench_rate, bench_asset, bench_state):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             mc_option_price(bench_rate, bench_asset, bench_state,
                             SimSpec(n_paths=10_001, n_steps=16, seed=1))
+
+    def test_pipelined_draws_bit_identical(self, bench_rate, bench_asset, bench_state):
+        runs = {}
+        for antithetic in (True, False):
+            runs.update(_golden_runs(bench_rate, bench_asset, bench_state, antithetic))
+        assert runs == GOLDEN_STREAMS
+
+    def test_failed_draw_raises_without_hang_or_leaked_thread(
+            self, monkeypatch, bench_rate, bench_asset, bench_state):
+        real_rng = montecarlo._rng
+        monkeypatch.setattr(montecarlo, "_rng", lambda *key: _FailingNormals(real_rng(*key)))
+        before = threading.active_count()
+        # 2,000 pairs take 9 steps per hand-off: the fifth fails on the helper.
+        (box,) = _in_threads(lambda: mc_option_price(bench_rate, bench_asset, bench_state,
+                                                     SimSpec(n_paths=4000, n_steps=64, seed=1)),
+                             timeout=10.0)
+        assert list(box) == ["error"] and str(box["error"]) == "draw failed"
+        assert isinstance(box["error"], RuntimeError)
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_get_serial_results(self, bench_rate, bench_asset):
+        asset2 = AssetParams(sigma=0.2, lambda1=1.0, y_law=Lognormal(-0.02, 0.08))
+        basket = BasketParams(asset1=bench_asset, asset2=asset2, rho=0.5,
+                              weights=ArithmeticWeights((0.6, 0.4)))
+        state2 = MarketState(spot=(110.0, 100.0), r=BENCH_R0, tau=1.0, strike=100.0)
+        specs = [SimSpec(n_paths=4_000, n_steps=64, seed=seed) for seed in (3, 4)]
+        price = lambda spec: mc_basket_price(bench_rate, basket, state2, spec)
+        serial = [price(spec) for spec in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            boxes = _in_threads(*(lambda spec=spec: price(spec) for spec in specs))
+        finally:
+            sys.setswitchinterval(interval)
+        assert boxes == [{"result": expected} for expected in serial]
 
     def test_invalid_inputs_rejected(self, bench_rate, bench_asset, bench_state):
         spec = SimSpec(n_paths=1000, n_steps=16, seed=1)
